@@ -34,7 +34,9 @@
 //                              or 4 — and measure update-phase throughput
 //                              in change sets/sec: serial sharded
 //                              ingestion vs the pipeline at depths 1, 2
-//                              and 4, at --throughput-sf. With --smoke it
+//                              and 4, at --throughput-sf, next to the
+//                              unsharded grb-incremental engine (reported,
+//                              not gated). With --smoke it
 //                              additionally gates pipelined answers ==
 //                              serial answers and that pipelined
 //                              throughput has not collapsed below half of
@@ -129,7 +131,9 @@ struct SmokeResult {
 };
 
 /// Update-phase ingestion throughput (change sets / second): the serial
-/// sharded schedule vs the pipelined schedule at depths 1, 2 and 4.
+/// sharded schedule vs the pipelined schedule at depths 1, 2 and 4, with
+/// the unsharded incremental engine as the baseline every schedule has to
+/// beat.
 struct ThroughputEntry {
   int depth = 0;
   double update_s = -1.0;
@@ -140,6 +144,7 @@ struct ThroughputResult {
   unsigned scale = 0;
   std::size_t change_sets = 0;
   int shards = 0;
+  ThroughputEntry unsharded;       ///< grb-incremental, one GrbState
   ThroughputEntry serial;          ///< depth 0: serial barrier ingestion
   std::vector<ThroughputEntry> pipelined;
 };
@@ -210,9 +215,12 @@ void write_json(
     std::fprintf(f,
                  ",\n  \"throughput\": {\n    \"query\": \"Q2\", \"scale\": "
                  "%u, \"change_sets\": %zu, \"shards\": %d,\n"
+                 "    \"unsharded\": {\"update_s\": %.6g, "
+                 "\"throughput_cs_per_s\": %.6g},\n"
                  "    \"serial\": {\"update_s\": %.6g, "
                  "\"throughput_cs_per_s\": %.6g},\n    \"pipelined\": [",
-                 tp.scale, tp.change_sets, tp.shards, tp.serial.update_s,
+                 tp.scale, tp.change_sets, tp.shards, tp.unsharded.update_s,
+                 tp.unsharded.cs_per_s, tp.serial.update_s,
                  tp.serial.cs_per_s);
     for (std::size_t i = 0; i < tp.pipelined.size(); ++i) {
       const ThroughputEntry& e = tp.pipelined[i];
@@ -434,6 +442,8 @@ int main(int argc, char** argv) {
   // phase. Geomean update-phase wall time over `repeats` runs; the answer
   // sequences are identical by construction (differentially gated in the
   // test suite and in --smoke), so this isolates pure schedule overhead.
+  // The unsharded engine's row is the baseline the sharded schedules are
+  // judged against; it is reported, not gated.
   ThroughputResult tr;
   if (pipeline > 0) {
     const unsigned tsf = throughput_sf != 0
@@ -451,29 +461,31 @@ int main(int argc, char** argv) {
     tr.shards = pshards;
     const double n_cs = static_cast<double>(tr.change_sets);
 
+    const auto measure = [&](const harness::ToolSpec& tool, int depth) {
+      const auto rep = harness::run_repeated(tool, harness::Query::kQ2,
+                                             tp_ds->initial, tp_ds->changes,
+                                             repeats);
+      ThroughputEntry e;
+      e.depth = depth;
+      e.update_s = rep.update_and_reeval.geomean;
+      e.cs_per_s = n_cs / e.update_s;
+      return e;
+    };
     harness::ToolSpec serial_inc;
     for (const auto& t : harness::sharded_tools(pshards)) {
       if (t.key == "grb-sharded-incremental") serial_inc = t;
     }
-    const auto rep = harness::run_repeated(serial_inc, harness::Query::kQ2,
-                                           tp_ds->initial, tp_ds->changes,
-                                           repeats);
-    tr.serial.update_s = rep.update_and_reeval.geomean;
-    tr.serial.cs_per_s = n_cs / tr.serial.update_s;
+    tr.unsharded = measure(harness::find_tool("grb-incremental"), 0);
+    tr.serial = measure(serial_inc, 0);
     std::printf(
         "Ingestion throughput (Q2, SF %u, %zu change sets, %d shards):\n"
+        "  unsharded:      %.4gs (%.4g cs/s)\n"
         "  serial barrier: %.4gs (%.4g cs/s)\n",
-        tsf, tr.change_sets, pshards, tr.serial.update_s, tr.serial.cs_per_s);
+        tsf, tr.change_sets, pshards, tr.unsharded.update_s,
+        tr.unsharded.cs_per_s, tr.serial.update_s, tr.serial.cs_per_s);
     for (const int depth : {1, 2, 4}) {
-      const harness::ToolSpec tool =
-          harness::pipelined_tools(pshards, depth)[1];
-      const auto prep = harness::run_repeated(tool, harness::Query::kQ2,
-                                              tp_ds->initial, tp_ds->changes,
-                                              repeats);
-      ThroughputEntry e;
-      e.depth = depth;
-      e.update_s = prep.update_and_reeval.geomean;
-      e.cs_per_s = n_cs / e.update_s;
+      const ThroughputEntry e =
+          measure(harness::pipelined_tools(pshards, depth)[1], depth);
       tr.pipelined.push_back(e);
       std::printf("  pipeline depth %d: %.4gs (%.4g cs/s, %.2fx serial)\n",
                   depth, e.update_s, e.cs_per_s,

@@ -192,6 +192,22 @@ class Vector {
     return out;
   }
 
+  /// Dense-order walk of [lo, hi): fn(i, value) for every position, `fill`
+  /// at empty ones. One binary search to enter the range, then a linear
+  /// cursor over the stored entries.
+  template <typename F>
+  void for_each_dense(Index lo, Index hi, const T& fill, F&& fn) const {
+    auto pos = static_cast<std::size_t>(
+        std::lower_bound(ind_.begin(), ind_.end(), lo) - ind_.begin());
+    for (Index i = lo; i < hi; ++i) {
+      if (pos < ind_.size() && ind_[pos] == i) {
+        fn(i, val_[pos++]);
+      } else {
+        fn(i, fill);
+      }
+    }
+  }
+
   /// Structural + value equality (same pattern, same stored values).
   friend bool operator==(const Vector& a, const Vector& b) {
     return a.size_ == b.size_ && a.ind_ == b.ind_ && a.val_ == b.val_;

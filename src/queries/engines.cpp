@@ -61,69 +61,27 @@ Ranked GrbIncrementalEngine::ranked_of(Index entity, U64 score) const {
       q1 ? state_.post_timestamp(entity) : state_.comment_timestamp(entity)};
 }
 
-void GrbIncrementalEngine::offer(Index entity, U64 score) {
-  top_.offer(ranked_of(entity, score));
+Index GrbIncrementalEngine::num_entities() const {
+  return query_ == harness::Query::kQ1 ? state_.num_posts()
+                                       : state_.num_comments();
+}
+
+auto GrbIncrementalEngine::scan() const {
+  return [this](std::size_t /*space*/, Index lo, Index hi, auto&& emit) {
+    scores_.for_each_dense(lo, hi, U64{0}, [&](Index i, U64 v) {
+      emit(i, ranked_of(i, v));
+    });
+  };
 }
 
 std::string GrbIncrementalEngine::initial() {
   // First step: full evaluation (the paper's engine switches to incremental
-  // maintenance from the second step on). The same scan seeds the pruning
-  // state: exact block bounds from the fresh score vector and the candidate
-  // pool from the ranked walk.
+  // maintenance from the second step on). The same walk seeds the pruning
+  // state.
   scores_ = query_ == harness::Query::kQ1 ? q1_batch_scores(state_)
                                           : q2_batch_scores(state_);
-  const bool q1 = query_ == harness::Query::kQ1;
-  const Index n = q1 ? state_.num_posts() : state_.num_comments();
-  bounds_.reset(n);
-  pool_.clear();
-  top_ = TopK(3);
-  PruneStats stats;
-  stats.pool_rebuilds = 1;
-  const auto idx = scores_.indices();
-  const auto val = scores_.values();
-  std::size_t pos = 0;
-  for (Index i = 0; i < n; ++i) {
-    U64 v = 0;
-    if (pos < idx.size() && idx[pos] == i) {
-      v = val[pos];
-      ++pos;
-    }
-    bounds_.raise(i, v);
-    const Ranked r = ranked_of(i, v);
-    top_.offer_guarded(r);
-    pool_.offer_guarded(i, r);
-  }
-  prune_stats_ += stats;
-  add_prune_counters(stats);
+  top_.rebuild({num_entities()}, scan());
   return top_.answer();
-}
-
-void GrbIncrementalEngine::pruned_rerank(PruneStats& stats) {
-  TopK top(top_.k());
-  pool_.seed(top, stats);
-  const auto idx = scores_.indices();
-  const auto val = scores_.values();
-  std::size_t pos = 0;  // linear cursor: blocks are visited in order
-  pruned_blocks(
-      top, bounds_.num_blocks(), [&](Index b) { return bounds_.bound(b); },
-      [&](Index b) {
-        const Index lo = bounds_.block_lo(b);
-        const Index hi = bounds_.block_hi(b);
-        pos = static_cast<std::size_t>(
-            std::lower_bound(idx.begin() + pos, idx.end(), lo) - idx.begin());
-        for (Index i = lo; i < hi; ++i) {
-          U64 v = 0;
-          if (pos < idx.size() && idx[pos] == i) {
-            v = val[pos];
-            ++pos;
-          }
-          const Ranked r = ranked_of(i, v);
-          top.offer_guarded(r);
-          pool_.offer_guarded(i, r);  // harvest survivors back into the pool
-        }
-      },
-      stats);
-  top_ = std::move(top);
 }
 
 std::string GrbIncrementalEngine::update(const sm::ChangeSet& cs) {
@@ -133,48 +91,22 @@ std::string GrbIncrementalEngine::update(const sm::ChangeSet& cs) {
           ? q1_incremental_update(state_, delta, scores_)
           : q2_incremental_update(state_, delta, scores_);
   const bool removals = delta.has_removals();
-  const bool q1 = query_ == harness::Query::kQ1;
-  const Index n = q1 ? state_.num_posts() : state_.num_comments();
 
-  // Fold this epoch's changed pairs into the pruning state on *every*
-  // epoch: every score change flows through `changed`, which is what keeps
-  // the pool values exact and the bounds valid upper bounds across change
-  // sets. Newborn entities land in zero-bound blocks; their first nonzero
-  // score arrives as a changed pair.
-  bounds_.resize(n);
-  PruneStats stats;
+  // Every score change flows through `changed`, which is what keeps the
+  // pool values exact and the bounds valid upper bounds across change sets.
+  // Newborn entities can rank by recency before they score.
+  top_.grow(0, num_entities());
   const auto value_of = [&](Index i) { return scores_.at_or(i, 0); };
   const auto ci = changed.indices();
   const auto cv = changed.values();
   for (std::size_t k = 0; k < ci.size(); ++k) {
-    bounds_.note_change(ci[k], cv[k], removals, value_of, stats);
-    pool_.offer(ci[k], ranked_of(ci[k], cv[k]));
+    top_.note(0, ci[k], ranked_of(ci[k], cv[k]), removals, value_of);
   }
-  const auto& newborn = q1 ? delta.new_posts : delta.new_comments;
-  for (const Index i : newborn) {
-    pool_.offer(i, ranked_of(i, scores_.at_or(i, 0)));
+  const bool q1 = query_ == harness::Query::kQ1;
+  for (const Index i : q1 ? delta.new_posts : delta.new_comments) {
+    top_.note_newborn(0, i, ranked_of(i, value_of(i)));
   }
-
-  if (removals) {
-    // Scores are no longer monotone, so merging changed entities into the
-    // previous top-3 is unsound (a demoted leader must fall out in favour
-    // of an entity we never offered). Instead of the old full O(n) re-rank:
-    // seed the threshold from the pool, then scan only the blocks whose
-    // upper bound can still beat it.
-    pruned_rerank(stats);
-  } else {
-    // Insert-only fast path: merge the previous top-3 with (a) every entity
-    // whose score changed and (b) new zero-score entities, which can rank
-    // by recency.
-    for (std::size_t k = 0; k < ci.size(); ++k) {
-      offer(ci[k], cv[k]);
-    }
-    for (const Index i : newborn) {
-      offer(i, scores_.at_or(i, 0));
-    }
-  }
-  prune_stats_ += stats;
-  add_prune_counters(stats);
+  top_.finish(removals, scan());
   grb::recycle(std::move(changed));
   return top_.answer();
 }
@@ -228,11 +160,6 @@ void GrbIncrementalCcEngine::offer(Index comment) {
 }
 
 std::string GrbIncrementalCcEngine::initial() {
-  if (query_ == harness::Query::kQ1) {
-    q1_scores_ = q1_batch_scores(state_);
-    top_ = scan_top_k(state_, query_, q1_scores_);
-    return top_.answer();
-  }
   top_ = TopK(3);
   for (Index c = 0; c < state_.num_comments(); ++c) {
     offer(c);
@@ -242,28 +169,6 @@ std::string GrbIncrementalCcEngine::initial() {
 
 std::string GrbIncrementalCcEngine::update(const sm::ChangeSet& cs) {
   GrbDelta delta = state_.apply_change_set(cs);
-  if (query_ == harness::Query::kQ1) {
-    // Q1 has no CC component; behave exactly like the incremental engine.
-    auto changed = q1_incremental_update(state_, delta, q1_scores_);
-    if (delta.has_removals()) {
-      top_ = scan_top_k(state_, query_, q1_scores_);
-      grb::recycle(std::move(changed));
-      return top_.answer();
-    }
-    const auto ci = changed.indices();
-    const auto cv = changed.values();
-    for (std::size_t k = 0; k < ci.size(); ++k) {
-      top_.offer(Ranked{state_.post_id(ci[k]), cv[k],
-                        state_.post_timestamp(ci[k])});
-    }
-    for (const Index p : delta.new_posts) {
-      top_.offer(Ranked{state_.post_id(p), q1_scores_.at_or(p, 0),
-                        state_.post_timestamp(p)});
-    }
-    grb::recycle(std::move(changed));
-    return top_.answer();
-  }
-
   per_comment_.resize(state_.num_comments());
 
   if (delta.has_removals()) {
@@ -308,9 +213,6 @@ std::string GrbIncrementalCcEngine::update(const sm::ChangeSet& cs) {
     const auto& smaller = liked_by_user_[a].size() <= liked_by_user_[b].size()
                               ? liked_by_user_[a]
                               : liked_by_user_[b];
-    const Index other = liked_by_user_[a].size() <= liked_by_user_[b].size()
-                            ? b
-                            : a;
     for (const Index c : smaller) {
       auto& cc = per_comment_[c];
       const auto ia = cc.local.find(a);
@@ -321,7 +223,6 @@ std::string GrbIncrementalCcEngine::update(const sm::ChangeSet& cs) {
         }
       }
     }
-    (void)other;
   }
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
@@ -340,7 +241,11 @@ harness::EnginePtr make_grb_engine(const std::string& variant,
     return std::make_unique<GrbIncrementalEngine>(q);
   }
   if (variant == "incremental-cc") {
-    return std::make_unique<GrbIncrementalCcEngine>(q);
+    // Q1 has no CC component: the incremental engine is the Q1 half.
+    if (q == harness::Query::kQ1) {
+      return std::make_unique<GrbIncrementalEngine>(q);
+    }
+    return std::make_unique<GrbIncrementalCcEngine>();
   }
   throw grb::InvalidValue("unknown GraphBLAS engine variant: " + variant);
 }

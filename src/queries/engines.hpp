@@ -4,7 +4,8 @@
 //                           half; batch once, then delta maintenance.
 //   GrbIncrementalCcEngine — future-work item (2): Q2 keeps a per-comment
 //                           incremental connected-components structure, so
-//                           reevaluation avoids re-running FastSV entirely.
+//                           reevaluation avoids re-running FastSV entirely
+//                           (its Q1 is the GrbIncrementalEngine).
 #pragma once
 
 #include <cstdint>
@@ -56,32 +57,25 @@ class GrbIncrementalEngine final : public harness::Engine {
   [[nodiscard]] const grb::Vector<std::uint64_t>& scores() const {
     return scores_;
   }
-  /// Cumulative pruning activity of this engine's removal re-ranks.
-  [[nodiscard]] const PruneStats& prune_stats() const { return prune_stats_; }
 
  private:
-  void offer(Index entity, std::uint64_t score);
   [[nodiscard]] Ranked ranked_of(Index entity, std::uint64_t score) const;
-  /// Removal re-rank: seed from the pool, then block-scan only where the
-  /// bound can still beat the running threshold.
-  void pruned_rerank(PruneStats& stats);
+  [[nodiscard]] Index num_entities() const;
+  /// The top-k maintainer's value walk over scores_ (one entity space).
+  [[nodiscard]] auto scan() const;
 
   harness::Query query_;
   GrbState state_;
   grb::Vector<std::uint64_t> scores_{0};
-  TopK top_{3};
-  /// Writer-owned pruning state over the maintained entity space (posts for
-  /// Q1, comments for Q2), kept current from the per-epoch changed pairs.
-  BlockBounds bounds_;
-  CandidatePool pool_;
-  PruneStats prune_stats_;
+  /// The answer plus its pruning state over the maintained entity space
+  /// (posts for Q1, comments for Q2).
+  PrunedTopK top_{3};
 };
 
+/// Q2 only: make_grb_engine("incremental-cc", kQ1) hands out the
+/// GrbIncrementalEngine, since Q1 has no CC component.
 class GrbIncrementalCcEngine final : public harness::Engine {
  public:
-  explicit GrbIncrementalCcEngine(harness::Query q) : query_(q) {}
-  ~GrbIncrementalCcEngine() override { grb::recycle(std::move(q1_scores_)); }
-
   [[nodiscard]] std::string name() const override {
     return "GraphBLAS Incremental+CC";
   }
@@ -103,9 +97,7 @@ class GrbIncrementalCcEngine final : public harness::Engine {
   void rebuild_comment(Index comment);
   void offer(Index comment);
 
-  harness::Query query_;
   GrbState state_;
-  grb::Vector<std::uint64_t> q1_scores_{0};
   std::vector<CommentCc> per_comment_;
   /// user dense id -> comments the user likes (for friendship updates).
   std::vector<std::vector<Index>> liked_by_user_;

@@ -136,8 +136,10 @@ struct PruneMetrics {
 PruneStats prune_counters() noexcept {
   // One coherent registry snapshot: the seqlock spins out any in-flight
   // add/reset batch, so the six values always satisfy their invariant.
-  const telemetry::RegistrySnapshot snap =
-      telemetry::Registry::instance().snapshot();
+  return prune_stats_of(telemetry::Registry::instance().snapshot());
+}
+
+PruneStats prune_stats_of(const telemetry::RegistrySnapshot& snap) noexcept {
   PruneStats s;
   s.blocks_total = snap.value_or("prune.blocks_total", 0);
   s.blocks_scanned = snap.value_or("prune.blocks_scanned", 0);

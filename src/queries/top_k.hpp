@@ -29,18 +29,28 @@
 //                    timestamp or id), which is what keeps the pruned
 //                    answer byte-identical to the full scan.
 //
-// Every engine that prunes also reports PruneStats; the process-global
-// accumulators (prune_counters / add_prune_counters / reset_prune_counters,
-// the WorkspaceStats-style accessor trio) feed the benches' JSON and the
-// daemon's kStats response.
+// PrunedTopK (at the bottom) is the one place the per-epoch protocol over
+// these pieces lives: seed bounds and pools from a full walk, fold each
+// changed entity, then keep the insert-only merge or run the pool-seeded
+// pruned re-rank, and count the epoch's PruneStats once. Every incremental
+// engine — serial, sharded, pipelined — owns one and supplies only how it
+// walks its values. The stats leave the process through the "prune.*"
+// registry counters (prune_counters / add_prune_counters /
+// reset_prune_counters), which feed the benches' JSON and the daemon's
+// kStats response.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model/social_graph.hpp"
+
+namespace grbsm::telemetry {
+struct RegistrySnapshot;
+}
 
 namespace queries {
 
@@ -132,11 +142,15 @@ struct PruneStats {
 };
 
 /// Process-global prune counters (WorkspaceStats-style accessors): every
-/// pruned re-rank adds its deltas with add_prune_counters, benches and the
+/// PrunedTopK epoch adds its deltas with add_prune_counters, benches and the
 /// daemon read snapshots with prune_counters. The adders run on whichever
 /// thread owns the engine (the writer thread, in the daemon); the fields are
 /// relaxed atomics underneath, so stats readers on other threads are safe.
 [[nodiscard]] PruneStats prune_counters() noexcept;
+/// The six prune.* counters of a registry snapshot — or of a
+/// RegistrySnapshot::delta_since, to read one run's activity.
+[[nodiscard]] PruneStats prune_stats_of(
+    const grbsm::telemetry::RegistrySnapshot& snap) noexcept;
 void add_prune_counters(const PruneStats& delta) noexcept;
 void reset_prune_counters() noexcept;
 
@@ -317,5 +331,118 @@ void pruned_blocks(TopK& top, Index num_blocks, BoundF&& bound_of,
     scan_block(b);
   }
 }
+
+// --- The maintainer ----------------------------------------------------------
+
+/// The incremental engines' top-k, kept current across change sets with the
+/// pruned layer above. It owns the answer, one BlockBounds + CandidatePool
+/// per entity space (one space for a serial engine or for merged Q1 post
+/// totals, one per shard for Q2 comments) and the running epoch's
+/// PruneStats. An engine drives it in four steps:
+///
+///   rebuild(sizes, scan)   initial(): a full walk of every space raises
+///                          exact bounds and fills the pools and the answer.
+///   grow / note / note_newborn
+///                          each epoch: cover newborn ids, then fold every
+///                          changed entity (and every newborn) into its
+///                          space's bounds and pool and merge it into the
+///                          answer — the insert-only merge.
+///   finish(removals, scan) an insert-only epoch keeps that merge; a
+///                          removal epoch discards it for the pruned
+///                          re-rank: every space's pool seeds the threshold
+///                          before any block is walked.
+///
+/// rebuild and finish each add the epoch's stats to the registry once.
+/// `scan(space, lo, hi, emit)` is the engine's value walk: it must call
+/// emit(i, ranked) for every entity i of [lo, hi) in `space`, in increasing
+/// i, with the entity's current score.
+class PrunedTopK {
+ public:
+  explicit PrunedTopK(std::size_t k = 3) : top_(k) {}
+
+  template <typename ScanF>
+  void rebuild(const std::vector<Index>& sizes, ScanF&& scan) {
+    top_.clear();
+    spaces_.assign(sizes.size(), Space());
+    stats_.pool_rebuilds = sizes.size();
+    for (std::size_t s = 0; s < sizes.size(); ++s) {
+      Space& sp = spaces_[s];
+      sp.bounds.reset(sizes[s]);
+      scan(s, Index{0}, sizes[s], [&](Index i, const Ranked& r) {
+        sp.bounds.raise(i, r.score);
+        top_.offer_guarded(r);
+        sp.pool.offer_guarded(i, r);
+      });
+    }
+    publish();
+  }
+
+  /// Covers [0, n) of `space`; ids past the old size start in zero-bound
+  /// blocks (newborns score 0 until a changed pair raises them).
+  void grow(std::size_t space, Index n) { spaces_[space].bounds.resize(n); }
+
+  /// Folds one changed entity: its block bound (`may_lower` ages the block,
+  /// `value_of(i)` recomputes it once stale), its pool entry and the
+  /// insert-only merge.
+  template <typename ValueF>
+  void note(std::size_t space, Index i, const Ranked& r, bool may_lower,
+            ValueF&& value_of) {
+    Space& sp = spaces_[space];
+    sp.bounds.note_change(i, r.score, may_lower, value_of, stats_);
+    sp.pool.offer(i, r);
+    top_.offer(r);
+  }
+
+  /// A newborn entity with no changed pair: it can still rank by recency.
+  void note_newborn(std::size_t space, Index i, const Ranked& r) {
+    spaces_[space].pool.offer(i, r);
+    top_.offer(r);
+  }
+
+  template <typename ScanF>
+  void finish(bool removals, ScanF&& scan) {
+    if (removals) rerank(scan);
+    publish();
+  }
+
+  [[nodiscard]] std::string answer() const { return top_.answer(); }
+
+ private:
+  struct Space {
+    BlockBounds bounds;
+    CandidatePool pool;
+  };
+
+  template <typename ScanF>
+  void rerank(ScanF& scan) {
+    TopK top(top_.k());
+    for (const Space& sp : spaces_) sp.pool.seed(top, stats_);
+    for (std::size_t s = 0; s < spaces_.size(); ++s) {
+      Space& sp = spaces_[s];
+      pruned_blocks(
+          top, sp.bounds.num_blocks(),
+          [&](Index b) { return sp.bounds.bound(b); },
+          [&](Index b) {
+            scan(s, sp.bounds.block_lo(b), sp.bounds.block_hi(b),
+                 [&](Index i, const Ranked& r) {
+                   top.offer_guarded(r);
+                   sp.pool.offer_guarded(i, r);  // harvest survivors
+                 });
+          },
+          stats_);
+    }
+    top_ = std::move(top);
+  }
+
+  /// Adds the epoch's stats to the registry and starts the next epoch.
+  void publish() noexcept {
+    add_prune_counters(stats_);
+    stats_ = PruneStats{};
+  }
+
+  TopK top_;
+  std::vector<Space> spaces_;
+  PruneStats stats_;
+};
 
 }  // namespace queries

@@ -46,6 +46,24 @@ std::string GrbPipelinedEngine::name() const {
                                : "GraphBLAS Pipelined Incremental";
 }
 
+auto GrbPipelinedEngine::scan_mirror() const {
+  return [this](std::size_t s, Index lo, Index hi, auto&& emit) {
+    if (query_ == harness::Query::kQ1) {
+      for (Index p = lo; p < hi; ++p) {
+        const auto k = static_cast<std::size_t>(p);
+        U64 total = 0;
+        for (const auto& m : mirror_) total += m[k];
+        emit(p, Ranked{post_ids_[k], total, post_ts_[k]});
+      }
+    } else {
+      for (Index c = lo; c < hi; ++c) {
+        const auto k = static_cast<std::size_t>(c);
+        emit(c, Ranked{comment_ids_[s][k], mirror_[s][k], comment_ts_[s][k]});
+      }
+    }
+  };
+}
+
 void GrbPipelinedEngine::load(const sm::SocialGraph& g) {
   state_.end_pipeline();  // a re-load restarts the epoch numbering
   submitted_ = merged_ = 0;
@@ -99,40 +117,17 @@ std::string GrbPipelinedEngine::initial() {
         mirror_[s][static_cast<std::size_t>(idx[k])] = val[k];
       }
     }
-    // The epoch-0 full scan doubles as the pruning-state build: exact
-    // block bounds raised from the fresh mirrors, candidate pools filled
-    // from the ranked walk (one counted full-scan rebuild per pool).
-    top_ = queries::TopK(3);
-    queries::PruneStats stats;
+    // The epoch-0 full scan doubles as the pruning-state build: one space
+    // over merged post totals (Q1), one per shard's comments (Q2).
+    std::vector<Index> sizes;
     if (query_ == harness::Query::kQ1) {
-      bounds_.assign(1, queries::BlockBounds());
-      pools_.assign(1, queries::CandidatePool());
-      bounds_[0].reset(static_cast<Index>(post_ids_.size()));
-      stats.pool_rebuilds = 1;
-      for (std::size_t p = 0; p < post_ids_.size(); ++p) {
-        U64 total = 0;
-        for (std::size_t s = 0; s < n; ++s) total += mirror_[s][p];
-        bounds_[0].raise(static_cast<Index>(p), total);
-        const Ranked r{post_ids_[p], total, post_ts_[p]};
-        top_.offer_guarded(r);
-        pools_[0].offer_guarded(static_cast<Index>(p), r);
-      }
+      sizes.push_back(static_cast<Index>(post_ids_.size()));
     } else {
-      bounds_.assign(n, queries::BlockBounds());
-      pools_.assign(n, queries::CandidatePool());
-      stats.pool_rebuilds = n;
       for (std::size_t s = 0; s < n; ++s) {
-        bounds_[s].reset(static_cast<Index>(comment_ids_[s].size()));
-        for (std::size_t c = 0; c < comment_ids_[s].size(); ++c) {
-          bounds_[s].raise(static_cast<Index>(c), mirror_[s][c]);
-          const Ranked r{comment_ids_[s][c], mirror_[s][c], comment_ts_[s][c]};
-          top_.offer_guarded(r);
-          pools_[s].offer_guarded(static_cast<Index>(c), r);
-        }
+        sizes.push_back(static_cast<Index>(comment_ids_[s].size()));
       }
     }
-    prune_stats_ += stats;
-    queries::add_prune_counters(stats);
+    top_.rebuild(sizes, scan_mirror());
     return top_.answer();
   }
 
@@ -282,15 +277,11 @@ std::string GrbPipelinedEngine::merge_next() {
                             : comment_ids_[s].size(),
                         0);
     }
-    queries::PruneStats stats;
     if (query_ == harness::Query::kQ1) {
-      // Candidate construction identical to
-      // GrbShardedIncrementalEngine::update — per-shard changed indices in
-      // shard order, then the replicated new posts, deduplicated — built on
-      // every epoch now: folding the union's merged totals keeps the
-      // bounds valid and the pool values exact across change sets. The old
-      // totals (read before the mirror fold) make the may-lower signal
-      // exact per post, unlike the serial engine's epoch-level flag.
+      // Candidate union: per-shard changed indices in shard order, then
+      // the replicated new posts, deduplicated. The old totals (read before
+      // the mirror fold) make the may-lower signal exact per post, unlike
+      // the serial engine's epoch-level flag.
       std::vector<Index> candidates;
       for (std::size_t s = 0; s < n; ++s) {
         for (const auto& [i, v] : slot.reports[s].changed) {
@@ -302,7 +293,7 @@ std::string GrbPipelinedEngine::merge_next() {
       std::sort(candidates.begin(), candidates.end());
       candidates.erase(std::unique(candidates.begin(), candidates.end()),
                        candidates.end());
-      bounds_[0].resize(static_cast<Index>(post_ids_.size()));
+      top_.grow(0, static_cast<Index>(post_ids_.size()));
       const auto total_of = [&](Index p) {
         U64 total = 0;
         for (std::size_t s = 0; s < n; ++s) {
@@ -322,45 +313,35 @@ std::string GrbPipelinedEngine::merge_next() {
       for (std::size_t k = 0; k < candidates.size(); ++k) {
         const Index p = candidates[k];
         const U64 total = total_of(p);
-        bounds_[0].note_change(p, total, total < old_total[k], total_of,
-                               stats);
         const Ranked r{post_ids_[static_cast<std::size_t>(p)], total,
                        post_ts_[static_cast<std::size_t>(p)]};
-        pools_[0].offer(p, r);
-        if (!removals) top_.offer(r);
+        top_.note(0, p, r, total < old_total[k], total_of);
       }
-      if (removals) pruned_q1_mirror_rerank(stats);
     } else {
       // Q2: shards own disjoint comment spaces, so fold + offer can run
       // per shard (the serial engine's fold-all-then-offer order commutes).
       for (std::size_t s = 0; s < n; ++s) {
-        bounds_[s].resize(static_cast<Index>(comment_ids_[s].size()));
+        top_.grow(s, static_cast<Index>(comment_ids_[s].size()));
         const auto value_of = [&](Index c) {
           return mirror_[s][static_cast<std::size_t>(c)];
+        };
+        const auto ranked = [&](Index c) {
+          const auto k = static_cast<std::size_t>(c);
+          return Ranked{comment_ids_[s][k], mirror_[s][k], comment_ts_[s][k]};
         };
         for (const auto& [i, v] : slot.reports[s].changed) {
           // Exact may-lower: the pre-overwrite mirror value is this
           // publisher's epoch-consistent old score.
           const U64 old = mirror_[s][static_cast<std::size_t>(i)];
           mirror_[s][static_cast<std::size_t>(i)] = v;
-          bounds_[s].note_change(i, v, v < old, value_of, stats);
-          const Ranked r{comment_ids_[s][static_cast<std::size_t>(i)], v,
-                         comment_ts_[s][static_cast<std::size_t>(i)]};
-          pools_[s].offer(i, r);
-          if (!removals) top_.offer(r);
+          top_.note(s, i, ranked(i), v < old, value_of);
         }
         for (const Index c : slot.reports[s].new_comments) {
-          const Ranked r{comment_ids_[s][static_cast<std::size_t>(c)],
-                         mirror_[s][static_cast<std::size_t>(c)],
-                         comment_ts_[s][static_cast<std::size_t>(c)]};
-          pools_[s].offer(c, r);
-          if (!removals) top_.offer(r);
+          top_.note_newborn(s, c, ranked(c));
         }
       }
-      if (removals) pruned_q2_mirror_rerank(stats);
     }
-    prune_stats_ += stats;
-    queries::add_prune_counters(stats);
+    top_.finish(removals, scan_mirror());
     answer = top_.answer();
   } else {
     // Batch mode: fresh merged scan over this epoch's reported score
@@ -423,76 +404,6 @@ std::vector<std::string> GrbPipelinedEngine::update_stream(
   return answers;
 }
 
-TopK GrbPipelinedEngine::scan_q1_mirror() const {
-  TopK top(3);
-  const std::size_t n = state_.num_shards();
-  for (std::size_t p = 0; p < post_ids_.size(); ++p) {
-    U64 total = 0;
-    for (std::size_t s = 0; s < n; ++s) total += mirror_[s][p];
-    top.offer_guarded(Ranked{post_ids_[p], total, post_ts_[p]});
-  }
-  return top;
-}
-
-TopK GrbPipelinedEngine::scan_q2_mirror() const {
-  TopK top(3);
-  for (std::size_t s = 0; s < state_.num_shards(); ++s) {
-    for (std::size_t c = 0; c < comment_ids_[s].size(); ++c) {
-      top.offer_guarded(Ranked{comment_ids_[s][c], mirror_[s][c],
-                               comment_ts_[s][c]});
-    }
-  }
-  return top;
-}
-
-void GrbPipelinedEngine::pruned_q1_mirror_rerank(queries::PruneStats& stats) {
-  const std::size_t n = state_.num_shards();
-  TopK top(3);
-  pools_[0].seed(top, stats);
-  queries::pruned_blocks(
-      top, bounds_[0].num_blocks(),
-      [&](Index b) { return bounds_[0].bound(b); },
-      [&](Index b) {
-        const Index hi = bounds_[0].block_hi(b);
-        for (Index p = bounds_[0].block_lo(b); p < hi; ++p) {
-          U64 total = 0;
-          for (std::size_t s = 0; s < n; ++s) {
-            total += mirror_[s][static_cast<std::size_t>(p)];
-          }
-          const Ranked r{post_ids_[static_cast<std::size_t>(p)], total,
-                         post_ts_[static_cast<std::size_t>(p)]};
-          top.offer_guarded(r);
-          pools_[0].offer_guarded(p, r);
-        }
-      },
-      stats);
-  top_ = std::move(top);
-}
-
-void GrbPipelinedEngine::pruned_q2_mirror_rerank(queries::PruneStats& stats) {
-  TopK top(3);
-  // Seed from every shard's pool before any block decision — the stronger
-  // the threshold, the more shards prune.
-  for (const auto& pool : pools_) pool.seed(top, stats);
-  for (std::size_t s = 0; s < state_.num_shards(); ++s) {
-    queries::pruned_blocks(
-        top, bounds_[s].num_blocks(),
-        [&](Index b) { return bounds_[s].bound(b); },
-        [&](Index b) {
-          const Index hi = bounds_[s].block_hi(b);
-          for (Index c = bounds_[s].block_lo(b); c < hi; ++c) {
-            const Ranked r{comment_ids_[s][static_cast<std::size_t>(c)],
-                           mirror_[s][static_cast<std::size_t>(c)],
-                           comment_ts_[s][static_cast<std::size_t>(c)]};
-            top.offer_guarded(r);
-            pools_[s].offer_guarded(c, r);
-          }
-        },
-        stats);
-  }
-  top_ = std::move(top);
-}
-
 void GrbPipelinedEngine::reset_merge_state() {
   const std::size_t n = state_.num_shards();
   post_ids_.clear();
@@ -500,9 +411,7 @@ void GrbPipelinedEngine::reset_merge_state() {
   comment_ids_.assign(n, {});
   comment_ts_.assign(n, {});
   mirror_.assign(n, {});
-  top_ = TopK(3);
-  bounds_.clear();
-  pools_.clear();
+  top_ = queries::PrunedTopK(3);
 }
 
 harness::EnginePtr make_pipelined_engine(const std::string& variant,

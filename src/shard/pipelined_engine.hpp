@@ -13,9 +13,9 @@
 // append-only post/comment metadata, advanced one epoch at a time from
 // those reports. Mirror value == scores_[s].at_or(i, 0) of the serial
 // engine at the same epoch, and the metadata arrays reproduce the dense id
-// order of the shard states at that epoch, so the merge replays exactly
-// the offer sequences of GrbShardedIncrementalEngine::update (including
-// the removal re-rank's full `ranks_before` scan order) — answers are
+// order of the shard states at that epoch. The mirrors feed the same
+// queries::PrunedTopK protocol the serial engines drive — same spaces,
+// same candidate order, same full `ranks_before` order — so answers are
 // byte-identical to the serial schedule at every shard count × depth.
 // This mirror is the "double-buffered per-shard score state": workers
 // mutate the live copy at epoch t+k while the publisher reads its own
@@ -85,11 +85,6 @@ class GrbPipelinedEngine final : public harness::Engine {
   /// The underlying state — only safe to inspect with no epochs in flight
   /// (after update()/update_stream() return, the pipeline is drained).
   [[nodiscard]] const ShardedGrbState& state() const { return state_; }
-  /// Cumulative pruning activity of the merge thread's removal re-ranks
-  /// (incremental mode). Same in-flight caveat as state().
-  [[nodiscard]] const queries::PruneStats& prune_stats() const {
-    return prune_stats_;
-  }
 
  private:
   /// What one shard's stage publishes for one epoch. Immutable once the
@@ -119,10 +114,9 @@ class GrbPipelinedEngine final : public harness::Engine {
   /// mirrors, replays the serial merge, releases the epoch and returns its
   /// answer.
   std::string merge_next();
-  [[nodiscard]] queries::TopK scan_q1_mirror() const;
-  [[nodiscard]] queries::TopK scan_q2_mirror() const;
-  void pruned_q1_mirror_rerank(queries::PruneStats& stats);
-  void pruned_q2_mirror_rerank(queries::PruneStats& stats);
+  /// The top-k maintainer's value walk over the mirrors: merged post totals
+  /// (Q1) or shard s's comments (Q2).
+  [[nodiscard]] auto scan_mirror() const;
   void reset_merge_state();
 
   harness::Query query_;
@@ -150,14 +144,11 @@ class GrbPipelinedEngine final : public harness::Engine {
   /// Dense mirror of scores_[s]: mirror_[s][i] == scores_[s].at_or(i, 0)
   /// at the merged epoch (incremental mode only).
   std::vector<std::vector<std::uint64_t>> mirror_;
-  queries::TopK top_{3};
-  /// Pruning state over the mirrors, folded publisher-side per epoch so the
-  /// merge thread stays the engines' only owner (no shared mutable state on
-  /// any reader path). Q1: one bounds/pool pair over merged totals (index
-  /// 0); Q2: one pair per shard's comment space. Incremental mode only.
-  std::vector<queries::BlockBounds> bounds_;
-  std::vector<queries::CandidatePool> pools_;
-  queries::PruneStats prune_stats_;
+  /// The answer plus its pruning state over the mirrors, folded
+  /// publisher-side per epoch so the merge thread stays its only owner (no
+  /// shared mutable state on any reader path). Q1: one space over merged
+  /// totals; Q2: one per shard's comments. Incremental mode only.
+  queries::PrunedTopK top_{3};
 };
 
 /// Factory used by the harness registry: variant is "pipelined-batch" or

@@ -17,10 +17,11 @@ using U64 = std::uint64_t;
 
 /// Dense-order k-way merge over the sorted per-shard Q1 partials: one
 /// linear cursor per shard instead of a binary search per (post, shard).
-/// `fn(p, total)` sees every post in dense id order with its merged total.
+/// `fn(p, total)` sees every post of [lo, hi) in dense id order with its
+/// merged total.
 template <typename Fn>
-void merged_q1_walk(const std::vector<grb::Vector<U64>>& scores,
-                    Index num_posts, Fn&& fn) {
+void merged_q1_walk(const std::vector<grb::Vector<U64>>& scores, Index lo,
+                    Index hi, Fn&& fn) {
   const std::size_t n = scores.size();
   std::vector<std::span<const Index>> idx(n);
   std::vector<std::span<const U64>> val(n);
@@ -28,8 +29,10 @@ void merged_q1_walk(const std::vector<grb::Vector<U64>>& scores,
   for (std::size_t s = 0; s < n; ++s) {
     idx[s] = scores[s].indices();
     val[s] = scores[s].values();
+    pos[s] = static_cast<std::size_t>(
+        std::lower_bound(idx[s].begin(), idx[s].end(), lo) - idx[s].begin());
   }
-  for (Index p = 0; p < num_posts; ++p) {
+  for (Index p = lo; p < hi; ++p) {
     U64 total = 0;
     for (std::size_t s = 0; s < n; ++s) {
       if (pos[s] < idx[s].size() && idx[s][pos[s]] == p) {
@@ -41,24 +44,6 @@ void merged_q1_walk(const std::vector<grb::Vector<U64>>& scores,
   }
 }
 
-/// Dense-order walk over one shard's comment space with a linear cursor on
-/// its sorted score vector: `fn(c, score)` for every comment, zeros filled.
-template <typename Fn>
-void q2_shard_walk(const grb::Vector<U64>& scores, Index num_comments,
-                   Fn&& fn) {
-  const auto idx = scores.indices();
-  const auto val = scores.values();
-  std::size_t pos = 0;
-  for (Index c = 0; c < num_comments; ++c) {
-    U64 v = 0;
-    if (pos < idx.size() && idx[pos] == c) {
-      v = val[pos];
-      ++pos;
-    }
-    fn(c, v);
-  }
-}
-
 /// Q1 merge: walk the (replicated, identical across shards) dense post id
 /// space in order and rank each post by the sum of the per-shard partial
 /// scores — the same candidate sequence and total order as the unsharded
@@ -67,7 +52,7 @@ TopK merged_q1_scan(const ShardedGrbState& state,
                     const std::vector<grb::Vector<U64>>& scores) {
   TopK top(3);
   const GrbState& s0 = state.shard(0);
-  merged_q1_walk(scores, s0.num_posts(), [&](Index p, U64 total) {
+  merged_q1_walk(scores, 0, s0.num_posts(), [&](Index p, U64 total) {
     top.offer_guarded(Ranked{s0.post_id(p), total, s0.post_timestamp(p)});
   });
   return top;
@@ -83,7 +68,7 @@ TopK merged_q2_scan(const ShardedGrbState& state,
   TopK top(3);
   for (std::size_t s = 0; s < state.num_shards(); ++s) {
     const GrbState& st = state.shard(s);
-    q2_shard_walk(scores[s], st.num_comments(), [&](Index c, U64 v) {
+    scores[s].for_each_dense(0, st.num_comments(), U64{0}, [&](Index c, U64 v) {
       top.offer_guarded(Ranked{st.comment_id(c), v, st.comment_timestamp(c)});
     });
   }
@@ -142,120 +127,38 @@ void GrbShardedIncrementalEngine::load(const sm::SocialGraph& g) {
   state_.load(g);
 }
 
+auto GrbShardedIncrementalEngine::scan() const {
+  return [this](std::size_t s, Index lo, Index hi, auto&& emit) {
+    if (query_ == harness::Query::kQ1) {
+      const GrbState& s0 = state_.shard(0);
+      merged_q1_walk(scores_, lo, hi, [&](Index p, U64 total) {
+        emit(p, Ranked{s0.post_id(p), total, s0.post_timestamp(p)});
+      });
+    } else {
+      const GrbState& st = state_.shard(s);
+      scores_[s].for_each_dense(lo, hi, U64{0}, [&](Index c, U64 v) {
+        emit(c, Ranked{st.comment_id(c), v, st.comment_timestamp(c)});
+      });
+    }
+  };
+}
+
 std::string GrbShardedIncrementalEngine::initial() {
   recycle_all(scores_);
   scores_ = batch_scores(query_, state_);
-  // The initial merged scan doubles as the pruning-state build: exact block
-  // bounds raised from the fresh scores and candidate pools filled from the
-  // ranked walk (one full-scan pool rebuild per pool, counted).
-  top_ = queries::TopK(3);
-  queries::PruneStats stats;
+  // The initial merged walk doubles as the pruning-state build. Q1 ranks
+  // merged totals over the replicated post space (one space); Q2 comments
+  // are disjoint per shard (one space each).
+  std::vector<Index> sizes;
   if (query_ == harness::Query::kQ1) {
-    const GrbState& s0 = state_.shard(0);
-    bounds_.assign(1, queries::BlockBounds());
-    pools_.assign(1, queries::CandidatePool());
-    bounds_[0].reset(s0.num_posts());
-    stats.pool_rebuilds = 1;
-    merged_q1_walk(scores_, s0.num_posts(), [&](Index p, U64 total) {
-      bounds_[0].raise(p, total);
-      const Ranked r{s0.post_id(p), total, s0.post_timestamp(p)};
-      top_.offer_guarded(r);
-      pools_[0].offer_guarded(p, r);
-    });
+    sizes.push_back(state_.shard(0).num_posts());
   } else {
-    const std::size_t n = state_.num_shards();
-    bounds_.assign(n, queries::BlockBounds());
-    pools_.assign(n, queries::CandidatePool());
-    stats.pool_rebuilds = n;
-    for (std::size_t s = 0; s < n; ++s) {
-      const GrbState& st = state_.shard(s);
-      bounds_[s].reset(st.num_comments());
-      q2_shard_walk(scores_[s], st.num_comments(), [&](Index c, U64 v) {
-        bounds_[s].raise(c, v);
-        const Ranked r{st.comment_id(c), v, st.comment_timestamp(c)};
-        top_.offer_guarded(r);
-        pools_[s].offer_guarded(c, r);
-      });
+    for (std::size_t s = 0; s < state_.num_shards(); ++s) {
+      sizes.push_back(state_.shard(s).num_comments());
     }
   }
-  prune_stats_ += stats;
-  queries::add_prune_counters(stats);
+  top_.rebuild(sizes, scan());
   return top_.answer();
-}
-
-void GrbShardedIncrementalEngine::pruned_q1_rerank(queries::PruneStats& stats) {
-  const GrbState& s0 = state_.shard(0);
-  TopK top(3);
-  pools_[0].seed(top, stats);
-  const std::size_t n = scores_.size();
-  std::vector<std::span<const Index>> idx(n);
-  std::vector<std::span<const U64>> val(n);
-  std::vector<std::size_t> pos(n, 0);  // blocks are visited in dense order
-  for (std::size_t s = 0; s < n; ++s) {
-    idx[s] = scores_[s].indices();
-    val[s] = scores_[s].values();
-  }
-  queries::pruned_blocks(
-      top, bounds_[0].num_blocks(),
-      [&](Index b) { return bounds_[0].bound(b); },
-      [&](Index b) {
-        const Index lo = bounds_[0].block_lo(b);
-        const Index hi = bounds_[0].block_hi(b);
-        for (std::size_t s = 0; s < n; ++s) {
-          pos[s] = static_cast<std::size_t>(
-              std::lower_bound(idx[s].begin() + pos[s], idx[s].end(), lo) -
-              idx[s].begin());
-        }
-        for (Index p = lo; p < hi; ++p) {
-          U64 total = 0;
-          for (std::size_t s = 0; s < n; ++s) {
-            if (pos[s] < idx[s].size() && idx[s][pos[s]] == p) {
-              total += val[s][pos[s]];
-              ++pos[s];
-            }
-          }
-          const Ranked r{s0.post_id(p), total, s0.post_timestamp(p)};
-          top.offer_guarded(r);
-          pools_[0].offer_guarded(p, r);
-        }
-      },
-      stats);
-  top_ = std::move(top);
-}
-
-void GrbShardedIncrementalEngine::pruned_q2_rerank(queries::PruneStats& stats) {
-  TopK top(3);
-  // Seed from every shard's pool before any block decision — the stronger
-  // the threshold, the more shards prune.
-  for (const auto& pool : pools_) pool.seed(top, stats);
-  for (std::size_t s = 0; s < state_.num_shards(); ++s) {
-    const GrbState& st = state_.shard(s);
-    const auto idx = scores_[s].indices();
-    const auto val = scores_[s].values();
-    std::size_t pos = 0;
-    queries::pruned_blocks(
-        top, bounds_[s].num_blocks(),
-        [&](Index b) { return bounds_[s].bound(b); },
-        [&](Index b) {
-          const Index lo = bounds_[s].block_lo(b);
-          const Index hi = bounds_[s].block_hi(b);
-          pos = static_cast<std::size_t>(
-              std::lower_bound(idx.begin() + pos, idx.end(), lo) -
-              idx.begin());
-          for (Index c = lo; c < hi; ++c) {
-            U64 v = 0;
-            if (pos < idx.size() && idx[pos] == c) {
-              v = val[pos];
-              ++pos;
-            }
-            const Ranked r{st.comment_id(c), v, st.comment_timestamp(c)};
-            top.offer_guarded(r);
-            pools_[s].offer_guarded(c, r);
-          }
-        },
-        stats);
-  }
-  top_ = std::move(top);
 }
 
 std::string GrbShardedIncrementalEngine::update(const sm::ChangeSet& cs) {
@@ -277,12 +180,9 @@ std::string GrbShardedIncrementalEngine::update(const sm::ChangeSet& cs) {
       std::any_of(deltas.begin(), deltas.end(),
                   [](const queries::GrbDelta& d) { return d.has_removals(); });
 
-  queries::PruneStats stats;
   if (query_ == harness::Query::kQ1) {
-    // Candidate union — built on *every* epoch now: a post's total changed
-    // iff some shard's partial changed, so folding the union's merged
-    // totals keeps the bounds valid and the pool values exact across
-    // change sets. New posts are replicated; shard 0's list covers them.
+    // Candidate union: a post's total changed iff some shard's partial
+    // changed. New posts are replicated; shard 0's list covers them.
     std::vector<Index> candidates;
     for (const auto& ch : changed) {
       const auto ci = ch.indices();
@@ -294,56 +194,35 @@ std::string GrbShardedIncrementalEngine::update(const sm::ChangeSet& cs) {
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
                      candidates.end());
     const GrbState& s0 = state_.shard(0);
-    bounds_[0].resize(s0.num_posts());
+    top_.grow(0, s0.num_posts());
     const auto total_of = [&](Index p) {
       U64 total = 0;
       for (const auto& partial : scores_) total += partial.at_or(p, 0);
       return total;
     };
     for (const Index p : candidates) {
-      const U64 total = total_of(p);
-      bounds_[0].note_change(p, total, removals, total_of, stats);
-      const Ranked r{s0.post_id(p), total, s0.post_timestamp(p)};
-      pools_[0].offer(p, r);
-      if (!removals) {
-        // Insert-only fast path: merge the changed totals (and the new
-        // zero-score posts, which can rank by recency) into the answer.
-        top_.offer(r);
-      }
-    }
-    if (removals) {
-      // Scores are no longer monotone: re-rank — but seeded from the pool
-      // and scanning only the blocks whose upper bound can still beat the
-      // running threshold, instead of the old O(posts · shards) full scan.
-      pruned_q1_rerank(stats);
+      const Ranked r{s0.post_id(p), total_of(p), s0.post_timestamp(p)};
+      top_.note(0, p, r, removals, total_of);
     }
   } else {
     for (std::size_t s = 0; s < state_.num_shards(); ++s) {
       const GrbState& st = state_.shard(s);
-      bounds_[s].resize(st.num_comments());
+      top_.grow(s, st.num_comments());
       const auto value_of = [&](Index c) { return scores_[s].at_or(c, 0); };
       const auto ci = changed[s].indices();
       const auto cv = changed[s].values();
       for (std::size_t k = 0; k < ci.size(); ++k) {
-        bounds_[s].note_change(ci[k], cv[k], removals, value_of, stats);
         const Ranked r{st.comment_id(ci[k]), cv[k],
                        st.comment_timestamp(ci[k])};
-        pools_[s].offer(ci[k], r);
-        if (!removals) top_.offer(r);
+        top_.note(s, ci[k], r, removals, value_of);
       }
       for (const Index c : deltas[s].new_comments) {
-        const Ranked r{st.comment_id(c), scores_[s].at_or(c, 0),
-                       st.comment_timestamp(c)};
-        pools_[s].offer(c, r);
-        if (!removals) top_.offer(r);
+        const Ranked r{st.comment_id(c), value_of(c), st.comment_timestamp(c)};
+        top_.note_newborn(s, c, r);
       }
     }
-    if (removals) {
-      pruned_q2_rerank(stats);
-    }
   }
-  prune_stats_ += stats;
-  queries::add_prune_counters(stats);
+  top_.finish(removals, scan());
   recycle_all(changed);
   return top_.answer();
 }

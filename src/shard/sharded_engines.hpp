@@ -75,14 +75,11 @@ class GrbShardedIncrementalEngine final : public harness::Engine {
   std::string update(const sm::ChangeSet& cs) override;
 
   [[nodiscard]] const ShardedGrbState& state() const { return state_; }
-  /// Cumulative pruning activity of this engine's removal re-ranks.
-  [[nodiscard]] const queries::PruneStats& prune_stats() const {
-    return prune_stats_;
-  }
 
  private:
-  void pruned_q1_rerank(queries::PruneStats& stats);
-  void pruned_q2_rerank(queries::PruneStats& stats);
+  /// The top-k maintainer's value walk: merged post totals (Q1) or shard
+  /// s's comments (Q2).
+  [[nodiscard]] auto scan() const;
 
   harness::Query query_;
   ShardedGrbState state_;
@@ -90,13 +87,10 @@ class GrbShardedIncrementalEngine final : public harness::Engine {
   /// for Q1 (summed across shards on merge), full scores of shard-owned
   /// comments for Q2.
   std::vector<grb::Vector<std::uint64_t>> scores_;
-  queries::TopK top_{3};
-  /// Pruning state, owned by the update thread. Q1 ranks merged totals, so
-  /// one bounds/pool pair covers the replicated post space (index 0); Q2
-  /// comments are disjoint per shard, so each shard gets its own pair.
-  std::vector<queries::BlockBounds> bounds_;
-  std::vector<queries::CandidatePool> pools_;
-  queries::PruneStats prune_stats_;
+  /// The global answer plus its pruning state, owned by the update thread:
+  /// one entity space over the replicated posts for Q1, one per shard's
+  /// comments for Q2.
+  queries::PrunedTopK top_{3};
 };
 
 /// Factory used by the harness registry: variant is "sharded-batch" or

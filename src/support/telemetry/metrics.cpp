@@ -116,6 +116,21 @@ const HistogramSnapshot* RegistrySnapshot::histogram(
                                                            : nullptr;
 }
 
+RegistrySnapshot RegistrySnapshot::delta_since(
+    const RegistrySnapshot& earlier) const {
+  RegistrySnapshot d = *this;
+  for (auto& [name, v] : d.entries) {
+    const MetricValue* e = earlier.find(name);
+    if (e == nullptr || e->kind != v.kind) continue;
+    if (v.kind == MetricKind::kCounter) {
+      v.value = v.value >= e->value ? v.value - e->value : 0;
+    } else if (v.kind == MetricKind::kHistogram) {
+      v.hist = v.hist.delta_since(e->hist);
+    }
+  }
+  return d;
+}
+
 // --- Wire codec --------------------------------------------------------------
 
 namespace {

@@ -176,6 +176,11 @@ struct RegistrySnapshot {
   /// The named histogram, or nullptr when absent or not a histogram.
   [[nodiscard]] const HistogramSnapshot* histogram(
       std::string_view name) const noexcept;
+  /// The activity since `earlier`: counters and histograms minus their
+  /// earlier values (saturating, so a reset in between reads as 0), gauges
+  /// at their current level. Metrics new since `earlier` keep their value.
+  [[nodiscard]] RegistrySnapshot delta_since(
+      const RegistrySnapshot& earlier) const;
 };
 
 /// Wire codec for kMetrics payloads: [u32 version][u32 count] then per

@@ -5,6 +5,8 @@
 // one: every tool computes the same thing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "datagen/generator.hpp"
 #include "harness/runner.hpp"
 
@@ -12,10 +14,18 @@ namespace {
 
 using harness::Query;
 
+// GoogleTest names each case by a byte dump of its parameter. The explicit
+// zeroed `pad` fills what would otherwise be uninitialised padding between
+// `scale` and `seed`, so the case names are the same on every build and run.
 struct EquivCase {
+  EquivCase(unsigned s, std::uint64_t sd) : scale(s), seed(sd) {}
   unsigned scale;
+  unsigned pad = 0;
   std::uint64_t seed;
 };
+static_assert(sizeof(EquivCase) ==
+                  sizeof(unsigned) * 2 + sizeof(std::uint64_t),
+              "EquivCase must have no padding bytes");
 
 class EngineEquivalence : public ::testing::TestWithParam<EquivCase> {};
 

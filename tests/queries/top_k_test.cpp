@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "queries/top_k.hpp"
+#include "support/telemetry/metrics.hpp"
 
 namespace {
 
@@ -308,6 +312,186 @@ TEST(PruneCountersGlobal, AccumulateAndReset) {
   EXPECT_EQ(snap.pool_hits, 4u);
   queries::reset_prune_counters();
   EXPECT_EQ(queries::prune_counters(), PruneStats{});
+}
+
+// --- The maintainer (PrunedTopK) ---------------------------------------------
+
+using grbsm::telemetry::Registry;
+using grbsm::telemetry::RegistrySnapshot;
+using queries::PrunedTopK;
+
+/// A multi-space value table in the shape the engines hand the maintainer:
+/// dense ids per space, external ids unique across spaces.
+struct Spaces {
+  std::vector<std::vector<std::uint64_t>> val;
+  std::vector<std::vector<sm::Timestamp>> ts;
+
+  [[nodiscard]] Ranked ranked(std::size_t s, Index i) const {
+    return {s * 100000 + i, val[s][i], ts[s][i]};
+  }
+  [[nodiscard]] std::vector<Index> sizes() const {
+    std::vector<Index> n;
+    for (const auto& v : val) n.push_back(v.size());
+    return n;
+  }
+  [[nodiscard]] auto scan() const {
+    return [this](std::size_t s, Index lo, Index hi, auto&& emit) {
+      for (Index i = lo; i < hi; ++i) emit(i, ranked(s, i));
+    };
+  }
+  [[nodiscard]] auto value_of(std::size_t s) const {
+    return [this, s](Index i) { return val[s][i]; };
+  }
+  [[nodiscard]] std::string full_scan() const {
+    std::vector<Ranked> all;
+    for (std::size_t s = 0; s < val.size(); ++s) {
+      for (Index i = 0; i < val[s].size(); ++i) all.push_back(ranked(s, i));
+    }
+    return queries::top_k_of(3, all).answer();
+  }
+  /// Sets one value and folds it into the maintainer.
+  void change(PrunedTopK& top, std::size_t s, Index i, std::uint64_t v,
+              bool may_lower) {
+    val[s][i] = v;
+    top.note(s, i, ranked(s, i), may_lower, value_of(s));
+  }
+};
+
+/// The prune.* registry activity since `before`.
+queries::PruneStats prune_delta(const RegistrySnapshot& before) {
+  return queries::prune_stats_of(
+      Registry::instance().snapshot().delta_since(before));
+}
+
+/// Three spaces of uneven size (3, 2 and 4 blocks), small value range so
+/// ties are everywhere.
+Spaces random_spaces(std::uint64_t& x) {
+  const auto next = [&x](std::uint64_t mod) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return (x >> 33) % mod;
+  };
+  Spaces sp;
+  for (const Index n : {Index{600}, Index{300}, Index{900}}) {
+    sp.val.emplace_back();
+    sp.ts.emplace_back();
+    for (Index i = 0; i < n; ++i) {
+      sp.val.back().push_back(next(50));
+      sp.ts.back().push_back(static_cast<sm::Timestamp>(next(20)));
+    }
+  }
+  return sp;
+}
+
+TEST(PrunedTopK, MultiSpaceRerankMatchesFullScanOverRandomEpochs) {
+  std::uint64_t x = 2024;
+  const auto next = [&x](std::uint64_t mod) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return (x >> 33) % mod;
+  };
+  Spaces sp = random_spaces(x);
+  PrunedTopK top(3);
+  top.rebuild(sp.sizes(), sp.scan());
+  ASSERT_EQ(top.answer(), sp.full_scan());
+  for (int e = 0; e < 60; ++e) {
+    const bool removals = e % 3 != 0;
+    if (e % 5 == 0) {
+      // Newborns land in every space at score 0; they rank by recency.
+      for (std::size_t s = 0; s < sp.val.size(); ++s) {
+        const Index n = sp.val[s].size();
+        for (Index i = n; i < n + 7; ++i) {
+          sp.val[s].push_back(0);
+          sp.ts[s].push_back(static_cast<sm::Timestamp>(next(25)));
+        }
+        top.grow(s, sp.val[s].size());
+        for (Index i = n; i < n + 7; ++i) {
+          top.note_newborn(s, i, sp.ranked(s, i));
+        }
+      }
+    }
+    for (int k = 0; k < 40; ++k) {
+      const std::size_t s = next(sp.val.size());
+      const Index i = next(sp.val[s].size());
+      const std::uint64_t v =
+          removals ? next(50) : sp.val[s][i] + next(4);  // raise-only
+      sp.change(top, s, i, v, removals);
+    }
+    top.finish(removals, sp.scan());
+    ASSERT_EQ(top.answer(), sp.full_scan()) << "epoch " << e;
+  }
+}
+
+TEST(PrunedTopK, TieAtThresholdInALaterSpaceIsScanned) {
+  // Space 0 holds the leaders. Space 1's trap sits in its block 1 at index
+  // 300, outside the space's 12-entry pool (twelve stronger entities fill
+  // it), with the newest timestamp. The storm demotes space 1's pool to 0
+  // and space 0's leaders to exactly the trap's score: the threshold then
+  // ties the trap's block bound, so a score-only skip test would lose it.
+  Spaces sp;
+  sp.val.assign(2, {});
+  sp.ts.assign(2, {});
+  for (Index i = 0; i < 40; ++i) {
+    sp.val[0].push_back(i < 3 ? 100 - i : 1);
+    sp.ts[0].push_back(10);
+  }
+  for (Index i = 0; i < 340; ++i) {
+    sp.val[1].push_back(i < queries::kPoolCapacity ? 80 : 1);
+    sp.ts[1].push_back(10);
+  }
+  sp.val[1][300] = 20;
+  sp.ts[1][300] = 99;
+  PrunedTopK top(3);
+  top.rebuild(sp.sizes(), sp.scan());
+  ASSERT_EQ(top.answer(), sp.full_scan());
+  for (Index i = 0; i < 3; ++i) sp.change(top, 0, i, 20, true);
+  for (Index i = 0; i < queries::kPoolCapacity; ++i) {
+    sp.change(top, 1, i, 0, true);
+  }
+  const RegistrySnapshot before = Registry::instance().snapshot();
+  top.finish(/*removals=*/true, sp.scan());
+  const std::string want = sp.full_scan();
+  ASSERT_EQ(want.rfind("100300|", 0), 0u) << "fixture broken: " << want;
+  EXPECT_EQ(top.answer(), want);
+  // Space 1's block 0 (bound still 80, stale-high) and its block 1 (bound
+  // 20, the tie) are both scanned; space 0's single block is too.
+  EXPECT_EQ(prune_delta(before).blocks_scanned, 3u);
+}
+
+TEST(PrunedTopK, EachEpochAddsItsStatsToTheRegistryOnce) {
+  std::uint64_t x = 7;
+  const auto next = [&x](std::uint64_t mod) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    return (x >> 33) % mod;
+  };
+  Spaces sp = random_spaces(x);
+  PrunedTopK top(3);
+  RegistrySnapshot before = Registry::instance().snapshot();
+  top.rebuild(sp.sizes(), sp.scan());
+  PruneStats d = prune_delta(before);
+  EXPECT_EQ(d.pool_rebuilds, 3u);  // one full-walk pool build per space
+  EXPECT_EQ(d.blocks_total, 0u);
+  const std::uint64_t blocks = 3 + 2 + 4;
+  for (int e = 0; e < 20; ++e) {
+    const bool removals = e % 2 == 1;
+    before = Registry::instance().snapshot();
+    for (int k = 0; k < 10; ++k) {
+      const std::size_t s = next(sp.val.size());
+      const Index i = next(sp.val[s].size());
+      sp.change(top, s, i, removals ? next(50) : sp.val[s][i] + 1, removals);
+    }
+    top.finish(removals, sp.scan());
+    d = prune_delta(before);
+    EXPECT_EQ(d.blocks_scanned + d.blocks_skipped, d.blocks_total);
+    if (removals) {
+      // One add per epoch: every block considered once, every pool seeded
+      // once — a second add would double both, a missing one zero them.
+      EXPECT_EQ(d.blocks_total, blocks) << "epoch " << e;
+      EXPECT_EQ(d.pool_hits, 3 * queries::kPoolCapacity) << "epoch " << e;
+    } else {
+      EXPECT_EQ(d.blocks_total, 0u) << "epoch " << e;
+      EXPECT_EQ(d.pool_hits, 0u) << "epoch " << e;
+    }
+    EXPECT_EQ(d.pool_rebuilds, 0u);
+  }
 }
 
 }  // namespace

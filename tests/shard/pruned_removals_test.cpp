@@ -3,7 +3,8 @@
 // sharded incremental, pipelined incremental — must stay byte-identical to
 // the *unpruned* batch oracle across seeds × shard counts × pipeline
 // depths, while its prune counters prove the pruning actually fired
-// (skipped blocks, pool-seeded candidates). The targeted cases pin the
+// (skipped blocks, pool-seeded candidates — read as prune.* registry deltas,
+// the only way the stats leave an engine). The targeted cases pin the
 // sharp edges: a block bound that ties the threshold score exactly must be
 // scanned (timestamp can still win), demoted pool members must seed with
 // their *current* values, and staleness must eventually force an exact
@@ -20,6 +21,7 @@
 #include "queries/top_k.hpp"
 #include "shard/pipelined_engine.hpp"
 #include "shard/sharded_engines.hpp"
+#include "support/telemetry/metrics.hpp"
 
 namespace {
 
@@ -33,6 +35,15 @@ std::vector<ToolSpec> oracle_and_pruned(int shards, int depth) {
   tools.push_back(harness::sharded_tools(shards)[1]);
   tools.push_back(harness::pipelined_tools(shards, depth)[1]);
   return tools;
+}
+
+using grbsm::telemetry::Registry;
+using grbsm::telemetry::RegistrySnapshot;
+
+/// The prune.* registry activity since `before`.
+queries::PruneStats prune_delta(const RegistrySnapshot& before) {
+  return queries::prune_stats_of(
+      Registry::instance().snapshot().delta_since(before));
 }
 
 datagen::Dataset removal_storm(unsigned scale, std::uint64_t seed) {
@@ -196,11 +207,12 @@ TEST(PrunedRemovals, SerialEngineSkipsBlocksSeedsPoolAndRebuildsBounds) {
   queries::GrbIncrementalEngine pruned(Query::kQ2);
   oracle.load(g);
   pruned.load(g);
+  const RegistrySnapshot before = Registry::instance().snapshot();
   EXPECT_EQ(pruned.initial(), oracle.initial());
   for (const auto& cs : changes) {
     ASSERT_EQ(pruned.update(cs), oracle.update(cs));
   }
-  const queries::PruneStats& st = pruned.prune_stats();
+  const queries::PruneStats st = prune_delta(before);
   EXPECT_EQ(st.blocks_scanned + st.blocks_skipped, st.blocks_total);
   // Blocks 1 and 2 (bounds <= 3) can never beat the ~27 threshold.
   EXPECT_GT(st.blocks_skipped, 0u);
@@ -227,11 +239,12 @@ TEST(PrunedRemovals, ShardedAndPipelinedCountersStayCoherent) {
   for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
     shard::GrbShardedIncrementalEngine eng(Query::kQ2, shards);
     eng.load(g);
+    const RegistrySnapshot before = Registry::instance().snapshot();
     EXPECT_EQ(eng.initial(), expected[0]);
     for (std::size_t e = 0; e < changes.size(); ++e) {
       ASSERT_EQ(eng.update(changes[e]), expected[e + 1]) << "shards=" << shards;
     }
-    const queries::PruneStats& st = eng.prune_stats();
+    const queries::PruneStats st = prune_delta(before);
     EXPECT_EQ(st.blocks_scanned + st.blocks_skipped, st.blocks_total);
     EXPECT_GT(st.blocks_total, 0u);
     EXPECT_GT(st.pool_hits, 0u);
@@ -244,13 +257,14 @@ TEST(PrunedRemovals, ShardedAndPipelinedCountersStayCoherent) {
                                  shard::GrbPipelinedEngine::Mode::kIncremental,
                                  /*num_shards=*/1, /*depth=*/2);
   pipe.load(g);
+  const RegistrySnapshot before = Registry::instance().snapshot();
   EXPECT_EQ(pipe.initial(), expected[0]);
   const auto answers = pipe.update_stream(changes);
   ASSERT_EQ(answers.size(), changes.size());
   for (std::size_t e = 0; e < answers.size(); ++e) {
     ASSERT_EQ(answers[e], expected[e + 1]);
   }
-  const queries::PruneStats& st = pipe.prune_stats();
+  const queries::PruneStats st = prune_delta(before);
   EXPECT_EQ(st.blocks_scanned + st.blocks_skipped, st.blocks_total);
   EXPECT_GT(st.blocks_skipped, 0u);
   EXPECT_GT(st.pool_hits, 0u);
@@ -259,16 +273,28 @@ TEST(PrunedRemovals, ShardedAndPipelinedCountersStayCoherent) {
 TEST(PrunedRemovals, GlobalCountersMirrorTheOnlyRunningEngine) {
   // The WorkspaceStats-style global accumulators feed the daemon and the
   // benches; with exactly one pruned engine running between reset and
-  // snapshot they must equal that engine's cumulative stats (the batch
-  // oracle contributes nothing).
+  // snapshot they must equal that engine's registry activity (the batch
+  // oracle contributes nothing), and that activity is fully determined by
+  // the fixture: 640 comments are 3 blocks, every epoch removes, and every
+  // re-rank seeds a full 12-entry pool.
   const auto g = storm_graph();
   const auto changes = storm_changes();
   queries::reset_prune_counters();
+  const RegistrySnapshot before = Registry::instance().snapshot();
+  queries::GrbBatchEngine oracle(Query::kQ2);
+  oracle.load(g);
+  (void)oracle.initial();
+  for (const auto& cs : changes) (void)oracle.update(cs);
+  EXPECT_EQ(prune_delta(before), queries::PruneStats{});
   queries::GrbIncrementalEngine eng(Query::kQ2);
   eng.load(g);
   (void)eng.initial();
   for (const auto& cs : changes) (void)eng.update(cs);
-  EXPECT_EQ(queries::prune_counters(), eng.prune_stats());
+  const queries::PruneStats st = prune_delta(before);
+  EXPECT_EQ(queries::prune_counters(), st);
+  EXPECT_EQ(st.pool_rebuilds, 1u);
+  EXPECT_EQ(st.blocks_total, 3u * changes.size());
+  EXPECT_EQ(st.pool_hits, queries::kPoolCapacity * changes.size());
   queries::reset_prune_counters();
   EXPECT_EQ(queries::prune_counters(), queries::PruneStats{});
 }

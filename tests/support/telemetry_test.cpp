@@ -136,6 +136,29 @@ TEST(TelemetryHistogram, DeltaSinceRecoversTheInterval) {
   EXPECT_EQ(inverted.sum, 0u);
 }
 
+TEST(TelemetryRegistry, SnapshotDeltaSinceIsTheInterval) {
+  auto& reg = Registry::instance();
+  Counter& c = reg.counter("test.delta.counter");
+  Gauge& g = reg.gauge("test.delta.gauge");
+  Histogram& h = reg.histogram("test.delta.hist");
+  c.add(5);
+  g.set(7);
+  h.record(10);
+  const RegistrySnapshot before = reg.snapshot();
+  c.add(3);
+  g.set(2);
+  h.record(1000);
+  const RegistrySnapshot d = reg.snapshot().delta_since(before);
+  EXPECT_EQ(d.value_or("test.delta.counter", 99), 3u);
+  EXPECT_EQ(d.value_or("test.delta.gauge", 99), 2u);  // a level, not a delta
+  ASSERT_NE(d.histogram("test.delta.hist"), nullptr);
+  EXPECT_EQ(d.histogram("test.delta.hist")->count(), 1u);
+  // Saturating: the reverse interval must not underflow.
+  EXPECT_EQ(before.delta_since(reg.snapshot()).value_or("test.delta.counter",
+                                                        99),
+            0u);
+}
+
 TEST(TelemetryHistogram, ConcurrentRelaxedRecording) {
   Histogram h;
   constexpr int kThreads = 4;
