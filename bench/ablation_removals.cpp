@@ -25,8 +25,11 @@
 #include "harness/runner.hpp"
 #include "queries/top_k.hpp"
 #include "support/flags.hpp"
+#include "support/telemetry/metrics.hpp"
 
 namespace {
+
+namespace telemetry = grbsm::telemetry;
 
 /// One (removal fraction, scale factor) cell of the sweep, for --json.
 struct CellResult {
@@ -104,7 +107,8 @@ int main(int argc, char** argv) {
       auto params = datagen::params_for_scale(spec.scale_factor, seed);
       params.frac_removals = frac;
       const auto ds = datagen::generate(params);
-      queries::reset_prune_counters();
+      const telemetry::RegistrySnapshot before =
+          telemetry::Registry::instance().snapshot();
       // Answers must stay consistent across engines even with removals —
       // grb-batch stays unpruned, so this doubles as the oracle check for
       // the pruned removal path.
@@ -121,7 +125,8 @@ int main(int argc, char** argv) {
         row.push_back(rep.update_and_reeval.geomean);
       }
       cell.update_s = row;
-      cell.prune = queries::prune_counters();
+      cell.prune = queries::prune_stats_of(
+          telemetry::Registry::instance().snapshot().delta_since(before));
       cells.push_back(std::move(cell));
       table.cells.push_back(std::move(row));
     }

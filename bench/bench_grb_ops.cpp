@@ -18,6 +18,7 @@
 #include "datagen/scale_table.hpp"
 #include "grb/grb.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry/metrics.hpp"
 
 namespace {
 
@@ -27,18 +28,19 @@ using grb::Matrix;
 using grb::Vector;
 using U64 = std::uint64_t;
 
-/// Captures workspace-arena counters at construction; report() attaches the
-/// delta to the benchmark as per-iteration counters plus the overall hit
-/// rate. Steady-state benches should show arena_miss ≈ 0 after the first
-/// (warm-up) iterations.
+/// Captures a registry snapshot at construction; report() attaches the
+/// arena delta since then to the benchmark as per-iteration counters plus
+/// the overall hit rate. Steady-state benches should show arena_miss ≈ 0
+/// after the first (warm-up) iterations.
 class ArenaCounters {
  public:
-  ArenaCounters() : start_(grb::workspace_stats()) {}
+  ArenaCounters() : start_(grbsm::telemetry::Registry::instance().snapshot()) {}
 
   void report(benchmark::State& state) const {
-    const auto now = grb::workspace_stats();
-    const auto leases = static_cast<double>(now.leases() - start_.leases());
-    const auto misses = static_cast<double>(now.misses - start_.misses);
+    const grb::WorkspaceStats d = grb::arena_stats_of(
+        grbsm::telemetry::Registry::instance().snapshot().delta_since(start_));
+    const auto leases = static_cast<double>(d.leases());
+    const auto misses = static_cast<double>(d.misses);
     state.counters["arena_lease"] =
         benchmark::Counter(leases, benchmark::Counter::kAvgIterations);
     state.counters["arena_miss"] =
@@ -48,7 +50,7 @@ class ArenaCounters {
   }
 
  private:
-  grb::WorkspaceStats start_;
+  grbsm::telemetry::RegistrySnapshot start_;
 };
 
 /// Heavy-tailed random boolean matrix: column popularity is Zipf-like, the

@@ -584,13 +584,16 @@ int main(int argc, char** argv) {
     // steady state never re-materialises a small class.)
     const auto& inc_tool = harness::find_tool("grb-incremental");
     const datagen::Dataset& ds = top_ds;  // generated by the timing loop
+    // Runs load + initial + the update loop; `mark`, when given, receives
+    // the registry snapshot taken after initial(), so the measured window
+    // (mark to the caller's next snapshot) is the update loop alone.
     const auto run_updates = [&](const harness::ToolSpec& tool,
-                                 bool reset_after_initial) {
+                                 telemetry::RegistrySnapshot* mark) {
       grb::ThreadGuard guard(tool.threads);
       auto engine = harness::make_engine(tool, harness::Query::kQ2);
       engine->load(ds.initial);
       engine->initial();
-      if (reset_after_initial) grb::reset_workspace_stats();
+      if (mark != nullptr) *mark = telemetry::Registry::instance().snapshot();
       for (const auto& cs : ds.changes) {
         engine->update(cs);
       }
@@ -624,10 +627,12 @@ int main(int argc, char** argv) {
     // settles the pool into the per-run equilibrium that every subsequent
     // run replays exactly.
     grb::trim_workspace();
-    run_updates(inc_tool, /*reset_after_initial=*/false);
-    run_updates(inc_tool, /*reset_after_initial=*/false);
-    run_updates(inc_tool, /*reset_after_initial=*/true);  // measured
-    sr.loop = grb::workspace_stats();
+    telemetry::RegistrySnapshot mark;
+    run_updates(inc_tool, nullptr);
+    run_updates(inc_tool, nullptr);
+    run_updates(inc_tool, &mark);  // measured
+    sr.loop = grb::arena_stats_of(
+        telemetry::Registry::instance().snapshot().delta_since(mark));
     sr.arena_ok = sr.loop.misses == 0;
     print_loop("", sr.arena_ok, sr.loop);
 
@@ -669,14 +674,16 @@ int main(int argc, char** argv) {
       harness::ToolSpec pinned = sharded_inc;
       pinned.threads = 1;
       grb::trim_workspace();
-      run_updates(pinned, /*reset_after_initial=*/false);
-      run_updates(pinned, /*reset_after_initial=*/false);
-      run_updates(pinned, /*reset_after_initial=*/true);  // measured
-      sr.sharded_loop = grb::workspace_stats();
+      run_updates(pinned, nullptr);
+      run_updates(pinned, nullptr);
+      run_updates(pinned, &mark);  // measured
+      const telemetry::RegistrySnapshot loop =
+          telemetry::Registry::instance().snapshot().delta_since(mark);
+      sr.sharded_loop = grb::arena_stats_of(loop);
       sr.sharded_arena_ok = sr.sharded_loop.misses == 0;
       sr.per_shard.resize(static_cast<std::size_t>(shards));
       for (std::size_t s = 0; s < sr.per_shard.size(); ++s) {
-        sr.per_shard[s] = grb::workspace_domain_stats(s);
+        sr.per_shard[s] = grb::arena_stats_of(loop, s);
         sr.sharded_arena_ok =
             sr.sharded_arena_ok && sr.per_shard[s].misses == 0;
       }
@@ -808,7 +815,8 @@ int main(int argc, char** argv) {
           if (t.key == "grb-pipelined-incremental") prune_tools.push_back(t);
         }
       }
-      queries::reset_prune_counters();
+      const telemetry::RegistrySnapshot before =
+          telemetry::Registry::instance().snapshot();
       try {
         harness::verify_tools(prune_tools, harness::Query::kQ2, rds.initial,
                               rds.changes);
@@ -818,7 +826,8 @@ int main(int argc, char** argv) {
       } catch (const std::exception& e) {
         std::cerr << "pruned answer mismatch: " << e.what() << "\n";
       }
-      sr.prune = queries::prune_counters();
+      sr.prune = queries::prune_stats_of(
+          telemetry::Registry::instance().snapshot().delta_since(before));
       sr.prune_counters_ok =
           sr.prune.blocks_scanned + sr.prune.blocks_skipped ==
               sr.prune.blocks_total &&

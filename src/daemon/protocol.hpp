@@ -16,15 +16,8 @@
 //                                            u32 depth, u32 retain
 //   kApply    change-set codec    kApplied   u64 epoch
 //   kQuery    u8 query, u64 epoch kAnswer    u64 epoch, answer bytes
-//   kStats                        kStatsOk   u64 latest_epoch, u64 applied,
-//                                            u64 queries, u64 retained,
-//                                            u64 in_flight,
-//                                            u64 prune_blocks_total,
-//                                            u64 prune_blocks_scanned,
-//                                            u64 prune_blocks_skipped,
-//                                            u64 prune_pool_hits,
-//                                            u64 prune_pool_rebuilds,
-//                                            u64 prune_bound_rebuilds
+//   kMetrics                      kMetricsOk registry snapshot (telemetry
+//                                            wire codec, schema-versioned)
 //   kShutdown                     kOk
 //   (malformed request)           kError     u32 code, message bytes
 //
@@ -33,6 +26,12 @@
 // epoch to publish and fails with kEvicted if it has already left the
 // retention window. Epoch 0 is the initial evaluation; change set k
 // publishes epoch k.
+//
+// kMetrics is the only stats request: every counter leaves the daemon as
+// one coherent registry snapshot (daemon.*, prune.*, arena.*, epoch.*_us),
+// and a client reads an interval by diffing two of them with
+// RegistrySnapshot::delta_since. Type bytes 0x04/0x84 (the retired
+// fixed-layout stats pair) are not reused; a 0x04 request gets kBadRequest.
 //
 // Robustness contract (the daemon outlives its clients):
 //   * short reads/writes are looped over; EINTR is retried;
@@ -66,17 +65,14 @@ enum class MsgType : std::uint8_t {
   kHello = 0x01,
   kApply = 0x02,
   kQuery = 0x03,
-  kStats = 0x04,
   kShutdown = 0x05,
   /// Empty request; answers kMetricsOk carrying one serialized telemetry
   /// registry snapshot (support/telemetry/metrics.hpp wire codec,
-  /// schema-versioned). A superset of the kStats fields — kStats stays for
-  /// compatibility with fixed-layout clients.
+  /// schema-versioned).
   kMetrics = 0x06,
   kHelloOk = 0x81,
   kApplied = 0x82,
   kAnswer = 0x83,
-  kStatsOk = 0x84,
   kOk = 0x85,
   kMetricsOk = 0x86,
   kError = 0xff,

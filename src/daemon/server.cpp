@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "harness/engine.hpp"
-#include "queries/top_k.hpp"
 #include "support/telemetry/metrics.hpp"
 #include "support/telemetry/trace.hpp"
 
@@ -45,8 +44,8 @@ Server::Server(ServerConfig cfg)
           cfg.shards, cfg.depth)),
       store_(cfg.retain) {
   // Surface the service-level numbers in every registry snapshot (and thus
-  // every kMetrics frame) under "daemon.*" — the provider reads the same
-  // thread-safe accessors stats() uses.
+  // every kMetrics frame) under "daemon.*". daemon.in_flight (enqueued minus
+  // published) is the apply-to-visible backlog in change sets.
   telemetry_provider_ = telemetry::Registry::instance().add_provider(
       [this](std::vector<std::pair<std::string, telemetry::MetricValue>>&
                  out) {
@@ -224,29 +223,6 @@ void Server::request_shutdown() {
   for (int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
 }
 
-Server::Stats Server::stats() const {
-  Stats s;
-  (void)store_.latest_epoch(s.latest_epoch);
-  s.applied = applied_.load(std::memory_order_relaxed);
-  s.queries = queries_.load(std::memory_order_relaxed);
-  s.retained = store_.size();
-  const std::uint64_t assigned = last_assigned();
-  s.in_flight = assigned > s.latest_epoch ? assigned - s.latest_epoch : 0;
-  // One coherent registry snapshot for the whole prune family: the writer
-  // thread folds its per-epoch deltas as a registry batch, and the seqlock
-  // inside snapshot() waits any half-applied batch out — so a kStats frame
-  // can never carry scanned + skipped != total, no matter how the poll
-  // races the write stream.
-  const queries::PruneStats p = queries::prune_counters();
-  s.prune_blocks_total = p.blocks_total;
-  s.prune_blocks_scanned = p.blocks_scanned;
-  s.prune_blocks_skipped = p.blocks_skipped;
-  s.prune_pool_hits = p.pool_hits;
-  s.prune_pool_rebuilds = p.pool_rebuilds;
-  s.prune_bound_rebuilds = p.bound_rebuilds;
-  return s;
-}
-
 bool Server::handle_frame(const Frame& f, int out_fd) {
   switch (f.type) {
     case MsgType::kHello: {
@@ -311,29 +287,12 @@ bool Server::handle_frame(const Frame& f, int out_fd) {
       out.str(which == kQueryQ1 ? snap->q1 : snap->q2);
       return write_frame(out_fd, MsgType::kAnswer, out.data());
     }
-    case MsgType::kStats: {
-      PayloadReader in(f.payload);
-      in.expect_done();
-      const Stats s = stats();
-      PayloadWriter out;
-      out.u64(s.latest_epoch);
-      out.u64(s.applied);
-      out.u64(s.queries);
-      out.u64(s.retained);
-      out.u64(s.in_flight);
-      out.u64(s.prune_blocks_total);
-      out.u64(s.prune_blocks_scanned);
-      out.u64(s.prune_blocks_skipped);
-      out.u64(s.prune_pool_hits);
-      out.u64(s.prune_pool_rebuilds);
-      out.u64(s.prune_bound_rebuilds);
-      return write_frame(out_fd, MsgType::kStatsOk, out.data());
-    }
     case MsgType::kMetrics: {
       PayloadReader in(f.payload);
       in.expect_done();
-      // One coherent snapshot per response (same guarantee as kStats), with
-      // every registered name: prune.*, arena.*, daemon.*, epoch.*_us.
+      // One coherent snapshot per response (the seqlock waits out any
+      // half-applied batch, so prune.* keeps scanned + skipped == total),
+      // with every registered name: prune.*, arena.*, daemon.*, epoch.*_us.
       const std::vector<std::uint8_t> blob =
           telemetry::serialize(telemetry::Registry::instance().snapshot());
       PayloadWriter out;

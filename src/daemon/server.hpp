@@ -99,26 +99,6 @@ class Server {
   [[nodiscard]] const EpochStore& store() const noexcept { return store_; }
   [[nodiscard]] const ServerConfig& config() const noexcept { return cfg_; }
 
-  struct Stats {
-    std::uint64_t latest_epoch = 0;
-    std::uint64_t applied = 0;    ///< change sets merged + published
-    std::uint64_t queries = 0;    ///< answers served
-    std::uint64_t retained = 0;   ///< snapshots currently in the window
-    std::uint64_t in_flight = 0;  ///< enqueued but not yet published
-    /// Process-global top-k pruning counters (queries::prune_counters):
-    /// written by the writer thread's engines as telemetry-registry batches
-    /// and read back as one coherent registry snapshot, so the family's
-    /// invariant (scanned + skipped == total) holds on every response —
-    /// connection threads never touch engine state.
-    std::uint64_t prune_blocks_total = 0;
-    std::uint64_t prune_blocks_scanned = 0;
-    std::uint64_t prune_blocks_skipped = 0;
-    std::uint64_t prune_pool_hits = 0;
-    std::uint64_t prune_pool_rebuilds = 0;
-    std::uint64_t prune_bound_rebuilds = 0;
-  };
-  [[nodiscard]] Stats stats() const;
-
  private:
   void writer_loop();
   void writer_loop_body();

@@ -5,6 +5,7 @@
 #endif
 
 #include <atomic>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -53,46 +54,69 @@ namespace telemetry = grbsm::telemetry;
 using MetricEntries =
     std::vector<std::pair<std::string, telemetry::MetricValue>>;
 
-void append_counter(MetricEntries& out, std::string name, std::uint64_t v) {
-  telemetry::MetricValue m;
-  m.kind = telemetry::MetricKind::kCounter;
-  m.value = v;
-  out.emplace_back(std::move(name), m);
+/// The arena.* name table, shared by the provider that writes the entries
+/// and arena_stats_of that reads them back, so each name is spelled once.
+/// Every field is published as "arena.<name>"; the first kDomainFields (the
+/// lease counters) also as "arena.shard<d>.<name>" per active domain.
+struct ArenaField {
+  const char* name;
+  std::uint64_t WorkspaceStats::*field;
+  telemetry::MetricKind kind = telemetry::MetricKind::kCounter;
+};
+
+constexpr telemetry::MetricKind kGauge = telemetry::MetricKind::kGauge;
+
+constexpr ArenaField kArenaFields[] = {
+    {"hits", &WorkspaceStats::hits},
+    {"steals", &WorkspaceStats::steals},
+    {"misses", &WorkspaceStats::misses},
+    {"bytes_leased", &WorkspaceStats::bytes_leased},
+    {"donations", &WorkspaceStats::donations},
+    {"drops", &WorkspaceStats::drops},
+    {"splits", &WorkspaceStats::splits},
+    {"shrinks", &WorkspaceStats::shrinks},
+    {"buffers_cached", &WorkspaceStats::buffers_cached, kGauge},
+    {"bytes_cached", &WorkspaceStats::bytes_cached, kGauge},
+};
+constexpr std::size_t kDomainFields = 4;
+
+std::string domain_prefix(std::size_t domain) {
+  return "arena.shard" + std::to_string(domain) + ".";
 }
 
-void append_gauge(MetricEntries& out, std::string name, std::uint64_t v) {
-  telemetry::MetricValue m;
-  m.kind = telemetry::MetricKind::kGauge;
-  m.value = v;
-  out.emplace_back(std::move(name), m);
+void append_fields(MetricEntries& out, const std::string& prefix,
+                   const WorkspaceStats& s,
+                   std::span<const ArenaField> fields) {
+  for (const ArenaField& f : fields) {
+    telemetry::MetricValue m;
+    m.kind = f.kind;
+    m.value = s.*f.field;
+    out.emplace_back(prefix + f.name, m);
+  }
+}
+
+/// Fields the prefix does not publish (a domain's gauges) read as zero.
+WorkspaceStats read_fields(const telemetry::RegistrySnapshot& snap,
+                           const std::string& prefix) {
+  WorkspaceStats s;
+  for (const ArenaField& f : kArenaFields) {
+    s.*f.field = snap.value_or(prefix + f.name, 0);
+  }
+  return s;
 }
 
 /// Telemetry provider: surfaces the arena's counters (and every active
-/// per-shard stats domain) under "arena.*" dotted names in each registry
-/// snapshot. The arena keeps its own mutex-sharded storage — the hot lease
-/// path is untouched; the provider just reads the same accessors the
-/// workspace_stats() trio exposes.
+/// per-shard stats domain) in each registry snapshot. The arena keeps its
+/// own atomics and mutex-sharded storage — the hot lease path is untouched;
+/// the provider just reads them at snapshot time.
 void arena_provider(MetricEntries& out) {
-  const WorkspaceStats s = Context::instance().workspace_stats();
-  append_counter(out, "arena.hits", s.hits);
-  append_counter(out, "arena.steals", s.steals);
-  append_counter(out, "arena.misses", s.misses);
-  append_counter(out, "arena.bytes_leased", s.bytes_leased);
-  append_counter(out, "arena.donations", s.donations);
-  append_counter(out, "arena.drops", s.drops);
-  append_counter(out, "arena.splits", s.splits);
-  append_counter(out, "arena.shrinks", s.shrinks);
-  append_gauge(out, "arena.buffers_cached", s.buffers_cached);
-  append_gauge(out, "arena.bytes_cached", s.bytes_cached);
   const detail::Workspace& ws = Context::instance().workspace();
+  append_fields(out, "arena.", ws.stats(), kArenaFields);
   for (std::size_t d = 0; d < detail::Workspace::kMaxDomains; ++d) {
     const WorkspaceStats ds = ws.domain_stats(d);
     if (ds.leases() == 0) continue;  // idle domains stay out of the wire
-    const std::string prefix = "arena.shard" + std::to_string(d) + ".";
-    append_counter(out, prefix + "hits", ds.hits);
-    append_counter(out, prefix + "steals", ds.steals);
-    append_counter(out, prefix + "misses", ds.misses);
-    append_counter(out, prefix + "bytes_leased", ds.bytes_leased);
+    append_fields(out, domain_prefix(d), ds,
+                  std::span(kArenaFields).first(kDomainFields));
   }
 }
 
@@ -108,14 +132,15 @@ Context& Context::instance() noexcept {
   return ctx;
 }
 
-WorkspaceStats workspace_stats() { return Context::instance().workspace_stats(); }
-
-void reset_workspace_stats() { Context::instance().reset_workspace_stats(); }
-
 std::size_t trim_workspace() { return Context::instance().trim_workspace(); }
 
-WorkspaceStats workspace_domain_stats(std::size_t domain) {
-  return Context::instance().workspace().domain_stats(domain);
+WorkspaceStats arena_stats_of(const telemetry::RegistrySnapshot& snap) {
+  return read_fields(snap, "arena.");
+}
+
+WorkspaceStats arena_stats_of(const telemetry::RegistrySnapshot& snap,
+                              std::size_t domain) {
+  return read_fields(snap, domain_prefix(domain));
 }
 
 namespace detail {

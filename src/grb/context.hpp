@@ -10,6 +10,10 @@
 
 #include "grb/detail/workspace.hpp"
 
+namespace grbsm::telemetry {
+struct RegistrySnapshot;
+}
+
 namespace grb {
 
 /// Sets the maximum number of threads grb kernels use. Values < 1 reset to
@@ -52,14 +56,6 @@ class Context {
 
   [[nodiscard]] detail::Workspace& workspace() noexcept { return workspace_; }
 
-  /// Snapshot of the arena counters/gauges (hits, misses, bytes leased,
-  /// cached bytes). Benches read this to prove steady-state allocation
-  /// drops to ~zero on the Fig. 5 loop.
-  [[nodiscard]] WorkspaceStats workspace_stats() const {
-    return workspace_.stats();
-  }
-  void reset_workspace_stats() { workspace_.reset_stats(); }
-
   /// Frees all cached arena buffers; returns bytes released.
   std::size_t trim_workspace() { return workspace_.trim(); }
 
@@ -71,14 +67,22 @@ class Context {
   detail::Workspace workspace_;
 };
 
-/// Convenience forwarders for Context::instance().
-[[nodiscard]] WorkspaceStats workspace_stats();
-void reset_workspace_stats();
+/// Convenience forwarder for Context::instance().
 std::size_t trim_workspace();
 
-/// Per-domain lease counters (hits/steals/misses/bytes_leased only — the
-/// other fields stay zero). Engine shards attribute their leases to a
-/// domain via detail::ScopedStatsDomain; this reads one domain's share.
-[[nodiscard]] WorkspaceStats workspace_domain_stats(std::size_t domain);
+/// The arena.* entries of a registry snapshot — or of a
+/// RegistrySnapshot::delta_since, to read one interval's leases. The arena
+/// publishes its counters through a registry provider (registered with the
+/// Context), so this is how benches and tests read them: diff two
+/// Registry::instance().snapshot()s and decode the delta.
+[[nodiscard]] WorkspaceStats arena_stats_of(
+    const grbsm::telemetry::RegistrySnapshot& snap);
+
+/// One per-shard stats domain's share of a snapshot or delta (hits/steals/
+/// misses/bytes_leased only — the other fields stay zero). Engine shards
+/// attribute their leases to a domain via detail::ScopedStatsDomain; a
+/// domain with no leases yet is absent and reads as zeros.
+[[nodiscard]] WorkspaceStats arena_stats_of(
+    const grbsm::telemetry::RegistrySnapshot& snap, std::size_t domain);
 
 }  // namespace grb

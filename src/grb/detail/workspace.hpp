@@ -65,8 +65,9 @@
 
 namespace grb {
 
-/// Arena instrumentation, exposed via Context::workspace_stats(). Counters
-/// accumulate since the last reset; gauges describe the pool right now.
+/// Arena instrumentation, published as the registry's arena.* entries and
+/// read back with grb::arena_stats_of. Counters are monotonic (diff two
+/// snapshots for an interval); gauges describe the pool right now.
 struct WorkspaceStats {
   // Counters.
   std::uint64_t hits = 0;        ///< leases served from the caller's shard
@@ -100,6 +101,8 @@ struct WorkspaceStats {
     return l == 0 ? 1.0 : static_cast<double>(l - misses) /
                               static_cast<double>(l);
   }
+  friend bool operator==(const WorkspaceStats&,
+                         const WorkspaceStats&) = default;
 };
 
 namespace detail {
@@ -395,26 +398,6 @@ class Workspace {
       s.bytes_cached += sh.bytes_cached;
     }
     return s;
-  }
-
-  /// Zeroes the counters (hits/steals/misses/bytes/donations/drops/splits/
-  /// shrinks, plus every per-domain counter); the cached-buffer gauges keep
-  /// describing the live pool.
-  void reset_stats() {
-    hits_.store(0, std::memory_order_relaxed);
-    steals_.store(0, std::memory_order_relaxed);
-    misses_.store(0, std::memory_order_relaxed);
-    bytes_leased_.store(0, std::memory_order_relaxed);
-    donations_.store(0, std::memory_order_relaxed);
-    drops_.store(0, std::memory_order_relaxed);
-    splits_.store(0, std::memory_order_relaxed);
-    shrinks_.store(0, std::memory_order_relaxed);
-    for (DomainCounters& d : domains_) {
-      d.hits.store(0, std::memory_order_relaxed);
-      d.steals.store(0, std::memory_order_relaxed);
-      d.misses.store(0, std::memory_order_relaxed);
-      d.bytes_leased.store(0, std::memory_order_relaxed);
-    }
   }
 
   /// Frees every cached buffer (outstanding leases are unaffected). Returns

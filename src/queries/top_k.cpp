@@ -101,13 +101,12 @@ void CandidatePool::seed(TopK& top, PruneStats& stats) const {
   }
 }
 
-// --- Process-global prune counters -------------------------------------------
+// --- The prune.* registry counters ------------------------------------------
 //
-// The accessors keep their PR-9 signatures, but the storage is the telemetry
-// registry: the six counters live under stable "prune.*" dotted names (so
-// the daemon's kMetrics frame and the bench JSONs see them for free), and
-// every multi-counter update runs as a registry batch — a snapshot can never
-// observe scanned + skipped != total, which the daemon asserts on the wire.
+// The six counters live under stable "prune.*" dotted names, and every
+// multi-counter update runs as a registry batch — a snapshot can never
+// observe scanned + skipped != total, which the daemon tests assert on the
+// wire.
 
 namespace {
 
@@ -133,12 +132,6 @@ struct PruneMetrics {
 
 }  // namespace
 
-PruneStats prune_counters() noexcept {
-  // One coherent registry snapshot: the seqlock spins out any in-flight
-  // add/reset batch, so the six values always satisfy their invariant.
-  return prune_stats_of(telemetry::Registry::instance().snapshot());
-}
-
 PruneStats prune_stats_of(const telemetry::RegistrySnapshot& snap) noexcept {
   PruneStats s;
   s.blocks_total = snap.value_or("prune.blocks_total", 0);
@@ -159,17 +152,6 @@ void add_prune_counters(const PruneStats& delta) noexcept {
   m.pool_hits.add(delta.pool_hits);
   m.pool_rebuilds.add(delta.pool_rebuilds);
   m.bound_rebuilds.add(delta.bound_rebuilds);
-}
-
-void reset_prune_counters() noexcept {
-  PruneMetrics& m = PruneMetrics::get();
-  const telemetry::Registry::BatchScope batch;
-  m.blocks_total.reset();
-  m.blocks_scanned.reset();
-  m.blocks_skipped.reset();
-  m.pool_hits.reset();
-  m.pool_rebuilds.reset();
-  m.bound_rebuilds.reset();
 }
 
 }  // namespace queries

@@ -34,10 +34,11 @@
 // changed entity, then keep the insert-only merge or run the pool-seeded
 // pruned re-rank, and count the epoch's PruneStats once. Every incremental
 // engine — serial, sharded, pipelined — owns one and supplies only how it
-// walks its values. The stats leave the process through the "prune.*"
-// registry counters (prune_counters / add_prune_counters /
-// reset_prune_counters), which feed the benches' JSON and the daemon's
-// kStats response.
+// walks its values. The stats leave the process only through the "prune.*"
+// registry counters, which PrunedTopK writes once per epoch (the one
+// add_prune_counters caller). Readers — benches, tests, the daemon's
+// kMetrics frame — diff two registry snapshots and decode the interval with
+// prune_stats_of(after.delta_since(before)).
 #pragma once
 
 #include <cstdint>
@@ -129,30 +130,17 @@ struct PruneStats {
   std::uint64_t pool_rebuilds = 0;  ///< full-scan pool (re)builds
   std::uint64_t bound_rebuilds = 0; ///< lazy exact bound recomputations
 
-  PruneStats& operator+=(const PruneStats& o) noexcept {
-    blocks_total += o.blocks_total;
-    blocks_scanned += o.blocks_scanned;
-    blocks_skipped += o.blocks_skipped;
-    pool_hits += o.pool_hits;
-    pool_rebuilds += o.pool_rebuilds;
-    bound_rebuilds += o.bound_rebuilds;
-    return *this;
-  }
   friend bool operator==(const PruneStats&, const PruneStats&) = default;
 };
 
-/// Process-global prune counters (WorkspaceStats-style accessors): every
-/// PrunedTopK epoch adds its deltas with add_prune_counters, benches and the
-/// daemon read snapshots with prune_counters. The adders run on whichever
-/// thread owns the engine (the writer thread, in the daemon); the fields are
-/// relaxed atomics underneath, so stats readers on other threads are safe.
-[[nodiscard]] PruneStats prune_counters() noexcept;
 /// The six prune.* counters of a registry snapshot — or of a
-/// RegistrySnapshot::delta_since, to read one run's activity.
+/// RegistrySnapshot::delta_since, to read one interval's activity.
 [[nodiscard]] PruneStats prune_stats_of(
     const grbsm::telemetry::RegistrySnapshot& snap) noexcept;
+/// PrunedTopK's writer: adds one epoch's stats to the prune.* registry
+/// counters as one registry batch, so no snapshot sees scanned + skipped
+/// != total.
 void add_prune_counters(const PruneStats& delta) noexcept;
-void reset_prune_counters() noexcept;
 
 /// Dense ids per bound block. Small enough that pruning bites at the bench
 /// scale factors, big enough that the bounds array stays negligible

@@ -86,12 +86,6 @@ HistogramSnapshot Histogram::snapshot() const noexcept {
   return s;
 }
 
-void Histogram::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-}
-
 // --- RegistrySnapshot --------------------------------------------------------
 
 const MetricValue* RegistrySnapshot::find(
@@ -360,26 +354,6 @@ RegistrySnapshot Registry::snapshot() const {
   std::sort(s.entries.begin(), s.entries.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return s;
-}
-
-void Registry::reset_values() {
-  // Lock order: mu_ before the batch — snapshot() spins on the seqlock while
-  // holding mu_, so a batch holder must never block on mu_.
-  std::lock_guard<std::mutex> lock(mu_);
-  BatchScope batch;
-  for (auto& [name, e] : metrics_) {
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        e.counter->reset();
-        break;
-      case MetricKind::kGauge:
-        e.gauge->reset();
-        break;
-      case MetricKind::kHistogram:
-        e.histogram->reset();
-        break;
-    }
-  }
 }
 
 }  // namespace grbsm::telemetry

@@ -72,7 +72,6 @@ class Counter {
   [[nodiscard]] std::uint64_t value() const noexcept {
     return v_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> v_{0};
@@ -87,7 +86,6 @@ class Gauge {
   [[nodiscard]] std::uint64_t value() const noexcept {
     return v_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { v_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> v_{0};
@@ -120,7 +118,8 @@ struct HistogramSnapshot {
     return a;
   }
   /// Interval delta: *this (the later poll) minus `earlier`. Saturates at
-  /// zero bucket-wise so a registry reset between polls cannot underflow.
+  /// zero bucket-wise, so a pair polled out of order (or across a daemon
+  /// restart) cannot underflow.
   [[nodiscard]] HistogramSnapshot delta_since(
       const HistogramSnapshot& earlier) const noexcept;
   friend bool operator==(const HistogramSnapshot&,
@@ -142,7 +141,6 @@ class Histogram {
   }
 
   [[nodiscard]] HistogramSnapshot snapshot() const noexcept;
-  void reset() noexcept;
 
  private:
   std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets_{};
@@ -177,7 +175,7 @@ struct RegistrySnapshot {
   [[nodiscard]] const HistogramSnapshot* histogram(
       std::string_view name) const noexcept;
   /// The activity since `earlier`: counters and histograms minus their
-  /// earlier values (saturating, so a reset in between reads as 0), gauges
+  /// earlier values (saturating, so an out-of-order pair reads as 0), gauges
   /// at their current level. Metrics new since `earlier` keep their value.
   [[nodiscard]] RegistrySnapshot delta_since(
       const RegistrySnapshot& earlier) const;
@@ -227,10 +225,6 @@ class Registry {
 
   /// One coherent copy of everything (batch-atomic, name-sorted).
   [[nodiscard]] RegistrySnapshot snapshot() const;
-
-  /// Zeroes every owned metric's value (names and registrations persist).
-  /// Runs as a batch so concurrent snapshots see all-old or all-new.
-  void reset_values();
 
  private:
   Registry() = default;

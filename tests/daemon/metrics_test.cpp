@@ -1,22 +1,21 @@
 // kMetrics protocol tests plus the stats-tearing regression: the daemon's
 // registry-backed stats must hold the prune-family invariant
 // (scanned + skipped == total) on every response, even while the writer
-// thread is mid-stream — one coherent registry snapshot per kStats/kMetrics
-// frame, never a half-applied batch. The TSan lane re-runs this suite
-// (poller thread racing the writer thread's counter batches).
+// thread is mid-stream — one coherent registry snapshot per kMetrics frame,
+// never a half-applied batch. The TSan lane re-runs this suite (poller
+// thread racing the writer thread's counter batches).
 #include <gtest/gtest.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
-#include <string>
 #include <thread>
-#include <vector>
 
 #include "daemon/protocol.hpp"
 #include "daemon/server.hpp"
+#include "daemon/test_conn.hpp"
 #include "datagen/generator.hpp"
 #include "paper_example.hpp"
+#include "queries/top_k.hpp"
 #include "support/telemetry/metrics.hpp"
 
 namespace grbd {
@@ -24,83 +23,10 @@ namespace {
 
 namespace telemetry = grbsm::telemetry;
 
-/// One served connection over a socketpair (same harness as server_test).
-class Conn {
- public:
-  explicit Conn(Server& server) {
-    int sv[2] = {-1, -1};
-    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-    client_ = sv[0];
-    server_fd_ = sv[1];
-    thread_ = std::thread(
-        [&server, fd = server_fd_] { server.serve_connection(fd, fd); });
-  }
-  ~Conn() {
-    if (client_ >= 0) ::close(client_);
-    if (thread_.joinable()) thread_.join();
-    if (server_fd_ >= 0) ::close(server_fd_);
-  }
+using test::Conn;
+using test::small_config;
 
-  Frame call(MsgType type, const std::vector<std::uint8_t>& payload = {}) {
-    EXPECT_TRUE(write_frame(client_, type, payload));
-    auto f = read_frame(client_);
-    EXPECT_TRUE(f.has_value());
-    return f ? *f : Frame{};
-  }
-
-  std::uint64_t apply(const sm::ChangeSet& cs) {
-    const Frame f = call(MsgType::kApply, encode_change_set(cs));
-    EXPECT_EQ(f.type, MsgType::kApplied);
-    PayloadReader in(f.payload);
-    return in.u64();
-  }
-
- private:
-  int client_ = -1;
-  int server_fd_ = -1;
-  std::thread thread_;
-};
-
-/// The kStats payload, decoded.
-struct WireStats {
-  std::uint64_t latest_epoch, applied, queries, retained, in_flight;
-  std::uint64_t prune_total, prune_scanned, prune_skipped;
-  std::uint64_t pool_hits, pool_rebuilds, bound_rebuilds;
-};
-
-WireStats decode_stats(const Frame& f) {
-  EXPECT_EQ(f.type, MsgType::kStatsOk);
-  PayloadReader in(f.payload);
-  WireStats s{};
-  s.latest_epoch = in.u64();
-  s.applied = in.u64();
-  s.queries = in.u64();
-  s.retained = in.u64();
-  s.in_flight = in.u64();
-  s.prune_total = in.u64();
-  s.prune_scanned = in.u64();
-  s.prune_skipped = in.u64();
-  s.pool_hits = in.u64();
-  s.pool_rebuilds = in.u64();
-  s.bound_rebuilds = in.u64();
-  in.expect_done();
-  return s;
-}
-
-telemetry::RegistrySnapshot decode_metrics(const Frame& f) {
-  EXPECT_EQ(f.type, MsgType::kMetricsOk);
-  return telemetry::parse_snapshot(f.payload.data(), f.payload.size());
-}
-
-ServerConfig small_config() {
-  ServerConfig cfg;
-  cfg.shards = 2;
-  cfg.depth = 2;
-  cfg.retain = 16;
-  return cfg;
-}
-
-TEST(DaemonTelemetry, KMetricsIsACoherentSupersetOfKStats) {
+TEST(DaemonTelemetry, KMetricsCarriesTheDaemonValuesAtQuiescence) {
   Server server(small_config());
   server.load(paper_example::initial_graph());
   Conn conn(server);
@@ -108,32 +34,27 @@ TEST(DaemonTelemetry, KMetricsIsACoherentSupersetOfKStats) {
   conn.apply(paper_example::update_change_set());
   server.drain();
   // One answered query so daemon.queries and epoch.answer_us move.
-  PayloadWriter req;
-  req.u8(kQueryQ1);
-  req.u64(kLatestEpoch);
-  EXPECT_EQ(conn.call(MsgType::kQuery, req.data()).type, MsgType::kAnswer);
+  EXPECT_EQ(conn.query(kQueryQ1, kLatestEpoch).type, MsgType::kAnswer);
 
-  const WireStats stats = decode_stats(conn.call(MsgType::kStats));
-  const telemetry::RegistrySnapshot reg =
-      decode_metrics(conn.call(MsgType::kMetrics));
+  const telemetry::RegistrySnapshot reg = conn.metrics();
 
   EXPECT_EQ(reg.schema_version, telemetry::kMetricsSchemaVersion);
-  // Every kStats field is present under a dotted registry name, equal at
-  // quiescence — kMetrics is the superset, kStats the fixed-layout legacy.
-  EXPECT_EQ(reg.value_or("daemon.latest_epoch", ~0ull), stats.latest_epoch);
-  EXPECT_EQ(reg.value_or("daemon.applied", ~0ull), stats.applied);
-  EXPECT_EQ(reg.value_or("daemon.queries", ~0ull), stats.queries);
-  EXPECT_EQ(reg.value_or("daemon.retained", ~0ull), stats.retained);
-  EXPECT_EQ(reg.value_or("daemon.in_flight", ~0ull), stats.in_flight);
-  EXPECT_EQ(reg.value_or("prune.blocks_total", ~0ull), stats.prune_total);
-  EXPECT_EQ(reg.value_or("prune.blocks_scanned", ~0ull), stats.prune_scanned);
-  EXPECT_EQ(reg.value_or("prune.blocks_skipped", ~0ull), stats.prune_skipped);
-  EXPECT_EQ(reg.value_or("prune.pool_hits", ~0ull), stats.pool_hits);
-  EXPECT_EQ(reg.value_or("prune.pool_rebuilds", ~0ull), stats.pool_rebuilds);
-  EXPECT_EQ(reg.value_or("prune.bound_rebuilds", ~0ull),
-            stats.bound_rebuilds);
-  EXPECT_EQ(stats.latest_epoch, 1u);
-  EXPECT_GE(reg.value_or("daemon.queries", 0), 1u);
+  // The service-level values under their dotted names, exact at quiescence:
+  // one change set published (epochs 0 and 1 retained), one answer served,
+  // nothing enqueued but unpublished.
+  EXPECT_EQ(reg.value_or("daemon.latest_epoch", ~0ull), 1u);
+  EXPECT_EQ(reg.value_or("daemon.applied", ~0ull), 1u);
+  EXPECT_EQ(reg.value_or("daemon.queries", ~0ull), 1u);
+  EXPECT_EQ(reg.value_or("daemon.retained", ~0ull), 2u);
+  EXPECT_EQ(reg.value_or("daemon.in_flight", ~0ull), 0u);
+  // The server runs in this process, so the frame carries exactly the
+  // prune family the local registry holds.
+  const queries::PruneStats wire = queries::prune_stats_of(reg);
+  const queries::PruneStats local =
+      queries::prune_stats_of(telemetry::Registry::instance().snapshot());
+  EXPECT_EQ(wire, local);
+  EXPECT_EQ(wire.blocks_scanned + wire.blocks_skipped, wire.blocks_total);
+  EXPECT_GE(wire.pool_rebuilds, 1u);  // load() built the pools
   // The answer span timed itself into the registry (kMetricsOnly default).
   const telemetry::HistogramSnapshot* answer =
       reg.histogram("epoch.answer_us");
@@ -152,13 +73,13 @@ TEST(DaemonTelemetry, KMetricsRejectsTrailingBytes) {
 }
 
 TEST(DaemonTelemetry, StatsNeverTearUnderALiveWriteStream) {
-  // The regression this PR fixes: the prune counters used to be three
-  // independent globals read one relaxed load at a time, so a kStats racing
-  // the writer's update could serve scanned + skipped != total. Now the
-  // writer's adds are registry batches and each kStats/kMetrics is one
-  // seqlock-coherent snapshot — hammer stats during a removal-heavy write
-  // stream (removal epochs drive the pruned re-rank path, so the family is
-  // hot) and require the invariant on every poll.
+  // The regression: the prune counters used to be independent globals read
+  // one relaxed load at a time, so a stats frame racing the writer's update
+  // could serve scanned + skipped != total. The writer's adds are registry
+  // batches and each kMetrics is one seqlock-coherent snapshot — hammer it
+  // during a removal-heavy write stream (removal epochs drive the pruned
+  // re-rank path, so the family is hot) and require the invariant on every
+  // poll.
   auto params = datagen::params_for_scale(1, 42);
   params.change_sets = 24;
   params.insert_elements = 400;
@@ -169,6 +90,7 @@ TEST(DaemonTelemetry, StatsNeverTearUnderALiveWriteStream) {
   server.load(ds.initial);
   Conn writer(server);
   Conn poller(server);
+  const telemetry::RegistrySnapshot before = poller.metrics();
 
   std::atomic<bool> done{false};
   std::thread stream([&] {
@@ -181,26 +103,23 @@ TEST(DaemonTelemetry, StatsNeverTearUnderALiveWriteStream) {
 
   std::uint64_t polls = 0;
   while (!done.load(std::memory_order_acquire)) {
-    const WireStats s = decode_stats(poller.call(MsgType::kStats));
-    EXPECT_EQ(s.prune_scanned + s.prune_skipped, s.prune_total)
-        << "kStats tore the prune family on poll " << polls;
-    const telemetry::RegistrySnapshot reg =
-        decode_metrics(poller.call(MsgType::kMetrics));
-    EXPECT_EQ(reg.value_or("prune.blocks_scanned", 0) +
-                  reg.value_or("prune.blocks_skipped", 0),
-              reg.value_or("prune.blocks_total", 0))
+    const queries::PruneStats p = queries::prune_stats_of(poller.metrics());
+    EXPECT_EQ(p.blocks_scanned + p.blocks_skipped, p.blocks_total)
         << "kMetrics tore the prune family on poll " << polls;
     ++polls;
   }
   stream.join();
 
-  const WireStats fin = decode_stats(poller.call(MsgType::kStats));
-  EXPECT_EQ(fin.prune_scanned + fin.prune_skipped, fin.prune_total);
-  EXPECT_EQ(fin.latest_epoch, ds.changes.size());
+  const telemetry::RegistrySnapshot fin = poller.metrics();
+  const queries::PruneStats streamed =
+      queries::prune_stats_of(fin.delta_since(before));
+  EXPECT_EQ(streamed.blocks_scanned + streamed.blocks_skipped,
+            streamed.blocks_total);
+  EXPECT_EQ(fin.value_or("daemon.latest_epoch", 0), ds.changes.size());
   EXPECT_GT(polls, 0u);
   // The stream must actually have exercised the family, or the invariant
   // checks above were vacuous.
-  EXPECT_GT(fin.prune_total, 0u);
+  EXPECT_GT(streamed.blocks_total, 0u);
 }
 
 }  // namespace

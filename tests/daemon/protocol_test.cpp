@@ -64,7 +64,7 @@ TEST(DaemonProtocol, EmptyPayloadRoundTrip) {
 
 TEST(DaemonProtocol, CleanEofBetweenFramesIsNullopt) {
   SocketPair sp;
-  ASSERT_TRUE(write_frame(sp.fd[0], MsgType::kStats));
+  ASSERT_TRUE(write_frame(sp.fd[0], MsgType::kMetrics));
   sp.close_end(0);
   EXPECT_TRUE(read_frame(sp.fd[1]).has_value());
   EXPECT_FALSE(read_frame(sp.fd[1]).has_value());

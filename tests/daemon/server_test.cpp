@@ -16,67 +16,18 @@
 #include <vector>
 
 #include "daemon/protocol.hpp"
+#include "daemon/test_conn.hpp"
 #include "datagen/generator.hpp"
 #include "harness/runner.hpp"
 #include "paper_example.hpp"
+#include "queries/top_k.hpp"
+#include "support/telemetry/metrics.hpp"
 
 namespace grbd {
 namespace {
 
-/// One served connection over a socketpair: fd() is the client end; the
-/// server end is driven by a dedicated thread running serve_connection.
-class Conn {
- public:
-  explicit Conn(Server& server) {
-    int sv[2] = {-1, -1};
-    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
-    client_ = sv[0];
-    server_fd_ = sv[1];
-    thread_ = std::thread(
-        [&server, fd = server_fd_] { server.serve_connection(fd, fd); });
-  }
-  ~Conn() { close_client(); }
-
-  [[nodiscard]] int fd() const noexcept { return client_; }
-
-  void close_client() {
-    if (client_ >= 0) {
-      ::close(client_);
-      client_ = -1;
-    }
-    if (thread_.joinable()) thread_.join();
-    if (server_fd_ >= 0) {
-      ::close(server_fd_);
-      server_fd_ = -1;
-    }
-  }
-
-  Frame call(MsgType type, const std::vector<std::uint8_t>& payload = {}) {
-    EXPECT_TRUE(write_frame(client_, type, payload));
-    auto f = read_frame(client_);
-    EXPECT_TRUE(f.has_value());
-    return f ? *f : Frame{};
-  }
-
-  Frame query(std::uint8_t which, std::uint64_t pin) {
-    PayloadWriter req;
-    req.u8(which);
-    req.u64(pin);
-    return call(MsgType::kQuery, req.data());
-  }
-
-  std::uint64_t apply(const sm::ChangeSet& cs) {
-    const Frame f = call(MsgType::kApply, encode_change_set(cs));
-    EXPECT_EQ(f.type, MsgType::kApplied);
-    PayloadReader in(f.payload);
-    return in.u64();
-  }
-
- private:
-  int client_ = -1;
-  int server_fd_ = -1;
-  std::thread thread_;
-};
+using test::Conn;
+using test::small_config;
 
 std::string answer_of(const Frame& f) {
   EXPECT_EQ(f.type, MsgType::kAnswer);
@@ -110,14 +61,6 @@ sm::ChangeSet idempotent_change_set() {
   return cs;
 }
 
-ServerConfig small_config() {
-  ServerConfig cfg;
-  cfg.shards = 2;
-  cfg.depth = 2;
-  cfg.retain = 16;
-  return cfg;
-}
-
 TEST(DaemonServer, HelloApplyQueryConversation) {
   Server server(small_config());
   server.load(paper_example::initial_graph());
@@ -146,26 +89,17 @@ TEST(DaemonServer, HelloApplyQueryConversation) {
   EXPECT_EQ(epoch_of(latest), 1u);
   EXPECT_EQ(answer_of(latest), paper_example::kQ2Updated);
 
-  const Frame stats = conn.call(MsgType::kStats);
-  ASSERT_EQ(stats.type, MsgType::kStatsOk);
-  {
-    PayloadReader in(stats.payload);
-    EXPECT_EQ(in.u64(), 1u);  // latest epoch
-    EXPECT_EQ(in.u64(), 1u);  // applied
-    EXPECT_GE(in.u64(), 5u);  // queries served
-    EXPECT_EQ(in.u64(), 2u);  // retained snapshots
-    EXPECT_EQ(in.u64(), 0u);  // in flight
-    // Prune counters (process-global, so only invariants are checked):
-    // every considered block was either scanned or skipped.
-    const std::uint64_t blocks_total = in.u64();
-    const std::uint64_t blocks_scanned = in.u64();
-    const std::uint64_t blocks_skipped = in.u64();
-    EXPECT_EQ(blocks_scanned + blocks_skipped, blocks_total);
-    (void)in.u64();  // pool_hits
-    EXPECT_GE(in.u64(), 1u);  // pool_rebuilds: initial() built the pools
-    (void)in.u64();  // bound_rebuilds
-    in.expect_done();
-  }
+  const grbsm::telemetry::RegistrySnapshot reg = conn.metrics();
+  EXPECT_EQ(reg.value_or("daemon.latest_epoch", ~0ull), 1u);
+  EXPECT_EQ(reg.value_or("daemon.applied", ~0ull), 1u);
+  EXPECT_GE(reg.value_or("daemon.queries", 0), 5u);
+  EXPECT_EQ(reg.value_or("daemon.retained", ~0ull), 2u);
+  EXPECT_EQ(reg.value_or("daemon.in_flight", ~0ull), 0u);
+  // Prune counters (process-global, so only invariants are checked): every
+  // considered block was either scanned or skipped.
+  const queries::PruneStats p = queries::prune_stats_of(reg);
+  EXPECT_EQ(p.blocks_scanned + p.blocks_skipped, p.blocks_total);
+  EXPECT_GE(p.pool_rebuilds, 1u);  // initial() built the pools
 
   const Frame ok = conn.call(MsgType::kShutdown);
   EXPECT_EQ(ok.type, MsgType::kOk);
@@ -251,10 +185,13 @@ TEST(DaemonServer, MalformedRequestsKeepTheConnectionServing) {
   server.load(paper_example::initial_graph());
   Conn conn(server);
 
-  // Unknown message type.
-  Frame f = conn.call(static_cast<MsgType>(0x42));
-  ASSERT_EQ(f.type, MsgType::kError);
-  {
+  // Unknown message types: an arbitrary byte, and 0x04 — the retired
+  // fixed-layout stats request, whose type byte is not reused.
+  const std::uint8_t unknown_types[] = {0x42, 0x04};
+  Frame f;
+  for (const std::uint8_t type : unknown_types) {
+    f = conn.call(static_cast<MsgType>(type));
+    ASSERT_EQ(f.type, MsgType::kError) << "type " << unsigned{type};
     PayloadReader in(f.payload);
     EXPECT_EQ(in.u32(), static_cast<std::uint32_t>(ErrorCode::kBadRequest));
   }

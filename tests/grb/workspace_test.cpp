@@ -1,7 +1,7 @@
 // Unit tests for the Context-owned workspace arena: lease/donate round
 // trips, size-bucketed reuse, growth, thread-team leases, capacity-reuse
 // storage release/adopt on Matrix/Vector, and the stats counters the CI
-// perf gate reads.
+// perf gate reads (through the registry's arena.* entries).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,11 +11,20 @@
 #include "grb/context.hpp"
 #include "grb/detail/workspace.hpp"
 #include "grb/grb.hpp"
+#include "support/telemetry/metrics.hpp"
 
 namespace {
 
 using grb::Index;
 using grb::detail::Workspace;
+using grbsm::telemetry::Registry;
+using grbsm::telemetry::RegistrySnapshot;
+
+/// The Context arena's activity since `before`, read through the registry.
+grb::WorkspaceStats arena_since(const RegistrySnapshot& before) {
+  return grb::arena_stats_of(
+      Registry::instance().snapshot().delta_since(before));
+}
 
 TEST(Workspace, LeaseProvidesClearedCapacityAndCountsMiss) {
   Workspace ws;
@@ -154,8 +163,15 @@ TEST(Workspace, DomainCountersAttributePerShardLeases) {
   // Global counters cover all three leases.
   EXPECT_EQ(ws.stats().leases(), 3u);
   EXPECT_DOUBLE_EQ(ws.domain_stats(7).hit_rate(), 1.0);  // idle domain
-  ws.reset_stats();
-  EXPECT_EQ(ws.domain_stats(3).leases(), 0u);
+  // Domain counters are monotonic: an interval is a before/after diff.
+  const auto before = ws.domain_stats(3);
+  {
+    grb::detail::ScopedStatsDomain domain(3);
+    auto lease = ws.lease<double>(256);  // hit, attributed to domain 3
+  }
+  const auto after = ws.domain_stats(3);
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  EXPECT_EQ(after.misses - before.misses, 0u);
 }
 
 TEST(Workspace, TeamLeaseAndTeamResize) {
@@ -214,19 +230,20 @@ TEST(Workspace, TinyDonationsAreDropped) {
   EXPECT_EQ(ws.stats().drops, 1u);
 }
 
-TEST(Workspace, StatsResetClearsCountersKeepsGauges) {
+TEST(Workspace, StatsCountersAreMonotonicGaugesTrackThePool) {
   Workspace ws;
   { auto lease = ws.lease<double>(1000); }
-  auto s = ws.stats();
-  EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.buffers_cached, 1u);
-  ws.reset_stats();
-  s = ws.stats();
-  EXPECT_EQ(s.misses, 0u);
-  EXPECT_EQ(s.donations, 0u);
-  EXPECT_EQ(s.bytes_leased, 0u);
-  EXPECT_EQ(s.buffers_cached, 1u);  // gauge survives
-  EXPECT_GT(s.bytes_cached, 0u);
+  const auto before = ws.stats();
+  EXPECT_EQ(before.misses, 1u);
+  EXPECT_EQ(before.buffers_cached, 1u);
+  { auto lease = ws.lease<double>(1000); }  // served from the pool
+  const auto after = ws.stats();
+  EXPECT_EQ(after.misses - before.misses, 0u);
+  EXPECT_EQ(after.hits - before.hits, 1u);
+  EXPECT_EQ(after.donations - before.donations, 1u);
+  EXPECT_EQ(after.bytes_leased - before.bytes_leased, 1000u * sizeof(double));
+  EXPECT_EQ(after.buffers_cached, 1u);  // gauge: the pool right now
+  EXPECT_EQ(after.bytes_cached, before.bytes_cached);
 }
 
 TEST(Workspace, TrimFreesEverythingCached) {
@@ -246,10 +263,34 @@ TEST(Workspace, TrimFreesEverythingCached) {
 TEST(Workspace, ContextOwnsAProcessWideArena) {
   auto& ws = grb::Context::instance().workspace();
   EXPECT_EQ(&ws, &grb::detail::workspace());
-  const auto before = grb::workspace_stats();
+  const RegistrySnapshot before = Registry::instance().snapshot();
   { auto lease = ws.lease<std::uint32_t>(512); }
-  const auto after = grb::workspace_stats();
-  EXPECT_EQ(after.leases(), before.leases() + 1);
+  EXPECT_EQ(arena_since(before).leases(), 1u);
+}
+
+TEST(Workspace, ArenaStatsOfReadsBackEveryPublishedField) {
+  // The provider writes the arena.* entries and arena_stats_of reads them
+  // from one name table: at quiescence every field must round-trip, the
+  // global ones and a stats domain's share alike.
+  auto& ws = grb::Context::instance().workspace();
+  const RegistrySnapshot before = Registry::instance().snapshot();
+  {
+    grb::detail::ScopedStatsDomain domain(5);
+    { auto lease = ws.lease<double>(300); }
+    { auto lease = ws.lease<double>(300); }
+  }
+  const RegistrySnapshot now = Registry::instance().snapshot();
+  EXPECT_EQ(grb::arena_stats_of(now), ws.stats());
+  EXPECT_EQ(grb::arena_stats_of(now, 5), ws.domain_stats(5));
+  // The wire names the benchmark reads stay put.
+  EXPECT_EQ(now.value_or("arena.misses", ~0ull), ws.stats().misses);
+  EXPECT_EQ(now.value_or("arena.shard5.hits", 0), ws.domain_stats(5).hits);
+  const grb::WorkspaceStats d5 =
+      grb::arena_stats_of(now.delta_since(before), 5);
+  EXPECT_EQ(d5.leases(), 2u);
+  EXPECT_EQ(d5.bytes_leased, 2u * 300u * sizeof(double));
+  // A domain that never leased is absent from the snapshot: all zeros.
+  EXPECT_EQ(grb::arena_stats_of(now, 6), grb::WorkspaceStats{});
 }
 
 TEST(StorageReuse, MatrixReleaseAdoptRoundtrip) {
@@ -282,21 +323,19 @@ TEST(StorageReuse, MatrixRowGrowthIsNotDefeatedByShrinkOnDetach) {
   // resized up to exactly that capacity), or the regrowth falls back to a
   // plain realloc outside the pool.
   auto m = grb::Matrix<double>::build(64, 4, {{0, 1, 1.5}, {63, 2, 2.5}});
-  const auto before = grb::workspace_stats();
+  const RegistrySnapshot before = Registry::instance().snapshot();
   m.resize(100000, 4);  // rows grow by >= 2^6x: the shrink rule would bite
-  const auto after = grb::workspace_stats();
-  EXPECT_EQ(after.shrinks, before.shrinks);
+  EXPECT_EQ(arena_since(before).shrinks, 0u);
   EXPECT_EQ(m.nrows(), 100000u);
   EXPECT_EQ(m.nvals(), 2u);
 }
 
 TEST(StorageReuse, RecycleDonatesToTheContextArena) {
   // A kernel-sized container's storage must land back in the pool.
-  const auto before = grb::workspace_stats();
+  const RegistrySnapshot before = Registry::instance().snapshot();
   auto v = grb::Vector<Index>::dense(1000, [](Index i) { return i; });
   grb::recycle(std::move(v));
-  const auto after = grb::workspace_stats();
-  EXPECT_GE(after.donations, before.donations + 2);  // ind + val arrays
+  EXPECT_GE(arena_since(before).donations, 2u);  // ind + val arrays
 }
 
 }  // namespace

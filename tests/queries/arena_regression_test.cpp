@@ -14,10 +14,19 @@
 #include "lagraph/pagerank.hpp"
 #include "queries/engines.hpp"
 #include "queries/q1.hpp"
+#include "support/telemetry/metrics.hpp"
 
 namespace {
 
+using grbsm::telemetry::Registry;
+using grbsm::telemetry::RegistrySnapshot;
 using queries::GrbState;
+
+/// The arena's activity since `before`, read through the metrics registry.
+grb::WorkspaceStats arena_since(const RegistrySnapshot& before) {
+  return grb::arena_stats_of(
+      Registry::instance().snapshot().delta_since(before));
+}
 
 TEST(ArenaRegression, Q1BatchLoopStaysAllocationFree) {
   const auto ds = datagen::generate(datagen::params_for_scale(1));
@@ -27,13 +36,13 @@ TEST(ArenaRegression, Q1BatchLoopStaysAllocationFree) {
   // Warm-up: two evaluations settle the pool into the loop's equilibrium.
   grb::recycle(queries::q1_batch_scores(state));
   grb::recycle(queries::q1_batch_scores(state));
-  const auto before = grb::workspace_stats();
+  const RegistrySnapshot before = Registry::instance().snapshot();
   for (int i = 0; i < 3; ++i) {
     grb::recycle(queries::q1_batch_scores(state));
   }
-  const auto after = grb::workspace_stats();
-  EXPECT_EQ(after.misses, before.misses) << "Q1 batch loop hit the allocator";
-  EXPECT_GT(after.leases(), before.leases());  // the loop does use the arena
+  const grb::WorkspaceStats loop = arena_since(before);
+  EXPECT_EQ(loop.misses, 0u) << "Q1 batch loop hit the allocator";
+  EXPECT_GT(loop.leases(), 0u);  // the loop does use the arena
 }
 
 TEST(ArenaRegression, IncrementalUpdateLoopStaysAllocationFree) {
@@ -56,14 +65,14 @@ TEST(ArenaRegression, IncrementalUpdateLoopStaysAllocationFree) {
   queries::GrbIncrementalEngine engine(harness::Query::kQ1);
   engine.load(ds.initial);
   engine.initial();
-  const auto before = grb::workspace_stats();
+  const RegistrySnapshot before = Registry::instance().snapshot();
   for (const auto& cs : ds.changes) {
     engine.update(cs);
   }
-  const auto after = grb::workspace_stats();
-  EXPECT_EQ(after.misses, before.misses)
+  const grb::WorkspaceStats loop = arena_since(before);
+  EXPECT_EQ(loop.misses, 0u)
       << "incremental update loop hit the allocator";
-  EXPECT_GT(after.leases(), before.leases());
+  EXPECT_GT(loop.leases(), 0u);
 }
 
 TEST(ArenaRegression, PagerankRepeatedCallsStayAllocationFree) {
@@ -86,11 +95,11 @@ TEST(ArenaRegression, PagerankRepeatedCallsStayAllocationFree) {
   };
   run();
   run();
-  const auto before = grb::workspace_stats();
+  const RegistrySnapshot before = Registry::instance().snapshot();
   run();
-  const auto after = grb::workspace_stats();
-  EXPECT_EQ(after.misses, before.misses) << "pagerank loop hit the allocator";
-  EXPECT_GT(after.leases(), before.leases());
+  const grb::WorkspaceStats loop = arena_since(before);
+  EXPECT_EQ(loop.misses, 0u) << "pagerank loop hit the allocator";
+  EXPECT_GT(loop.leases(), 0u);
 }
 
 }  // namespace

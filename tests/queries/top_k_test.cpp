@@ -298,7 +298,12 @@ TEST(PrunedBlocks, StaleHighBoundForcesScanNotWrongAnswer) {
 }
 
 TEST(PruneCountersGlobal, AccumulateAndReset) {
-  queries::reset_prune_counters();
+  // The prune.* counters are monotonic: adds accumulate, and a fresh
+  // snapshot is the reset point — a delta from it reads zero until the
+  // next add.
+  using grbsm::telemetry::Registry;
+  Registry& reg = Registry::instance();
+  const auto base = reg.snapshot();
   PruneStats a;
   a.blocks_total = 4;
   a.blocks_skipped = 3;
@@ -306,12 +311,13 @@ TEST(PruneCountersGlobal, AccumulateAndReset) {
   a.pool_hits = 2;
   queries::add_prune_counters(a);
   queries::add_prune_counters(a);
-  const PruneStats snap = queries::prune_counters();
+  const auto mid = reg.snapshot();
+  const PruneStats snap = queries::prune_stats_of(mid.delta_since(base));
   EXPECT_EQ(snap.blocks_total, 8u);
   EXPECT_EQ(snap.blocks_skipped, 6u);
   EXPECT_EQ(snap.pool_hits, 4u);
-  queries::reset_prune_counters();
-  EXPECT_EQ(queries::prune_counters(), PruneStats{});
+  EXPECT_EQ(queries::prune_stats_of(reg.snapshot().delta_since(mid)),
+            PruneStats{});
 }
 
 // --- The maintainer (PrunedTopK) ---------------------------------------------

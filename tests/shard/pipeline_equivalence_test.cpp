@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "datagen/generator.hpp"
@@ -37,12 +38,21 @@ std::vector<ToolSpec> reference_and_pipelined(int shards, int depth) {
   return tools;
 }
 
+// GoogleTest prints a byte dump of GetParam() when it lists and reports a
+// case. The explicit zeroed `pad` fills what would otherwise be
+// uninitialised padding between `scale` and `seed`, so the dump is the same
+// on every build and run.
 struct PipelineCase {
+  PipelineCase(unsigned sc, std::uint64_t sd, int sh, int d)
+      : scale(sc), seed(sd), shards(sh), depth(d) {}
   unsigned scale;
+  unsigned pad = 0;
   std::uint64_t seed;
   int shards;
   int depth;
 };
+static_assert(std::has_unique_object_representations_v<PipelineCase>,
+              "PipelineCase must have no padding bytes");
 
 class PipelineEquivalence : public ::testing::TestWithParam<PipelineCase> {};
 

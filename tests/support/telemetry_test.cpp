@@ -51,8 +51,6 @@ TEST(TelemetryHistogram, RecordCountSumMax) {
   EXPECT_DOUBLE_EQ(s.mean(), 1011.0 / 5.0);
   EXPECT_EQ(s.buckets[bucket_of(0)], 1u);
   EXPECT_EQ(s.buckets[bucket_of(5)], 2u);
-  h.reset();
-  EXPECT_EQ(h.snapshot().count(), 0u);
 }
 
 TEST(TelemetryHistogram, MergeIsAssociativeAndCommutative) {
@@ -130,7 +128,7 @@ TEST(TelemetryHistogram, DeltaSinceRecoversTheInterval) {
   EXPECT_EQ(d.sum, 50u * 1000u);
   EXPECT_EQ(d.buckets[bucket_of(1000)], 50u);
   EXPECT_EQ(d.buckets[bucket_of(10)], 0u);
-  // Saturating: a reset between polls must not underflow.
+  // Saturating: a pair polled out of order must not underflow.
   const HistogramSnapshot inverted = before.delta_since(after);
   EXPECT_EQ(inverted.count(), 0u);
   EXPECT_EQ(inverted.sum, 0u);
@@ -291,27 +289,24 @@ TEST(TelemetryRegistry, ProvidersContributeAndDetach) {
 }
 
 TEST(TelemetryRegistry, PruneCountersRoundTripThroughRegistry) {
-  // The migrated queries:: accessors keep their contract: adds accumulate,
-  // reads are coherent, reset zeroes the family.
-  queries::reset_prune_counters();
-  queries::PruneStats d;
-  d.blocks_total = 10;
-  d.blocks_scanned = 6;
-  d.blocks_skipped = 4;
-  d.pool_hits = 2;
-  d.pool_rebuilds = 1;
-  d.bound_rebuilds = 3;
+  // The prune family's contract: add_prune_counters accumulates under the
+  // prune.* names, and a snapshot delta recovers exactly the interval's
+  // adds — the counters are monotonic, so the delta is the one way to read.
+  Registry& reg = Registry::instance();
+  const RegistrySnapshot before = reg.snapshot();
+  const queries::PruneStats d{10, 6, 4, 2, 1, 3};
   queries::add_prune_counters(d);
   queries::add_prune_counters(d);
-  queries::PruneStats twice = d;
-  twice += d;
-  EXPECT_EQ(queries::prune_counters(), twice);
+  const RegistrySnapshot after = reg.snapshot();
+  const RegistrySnapshot delta = after.delta_since(before);
+  EXPECT_EQ(queries::prune_stats_of(delta),
+            (queries::PruneStats{20, 12, 8, 4, 2, 6}));
   // The same values are visible under their registry names.
-  const RegistrySnapshot s = Registry::instance().snapshot();
-  EXPECT_EQ(s.value_or("prune.blocks_total", 0), 20u);
-  EXPECT_EQ(s.value_or("prune.bound_rebuilds", 0), 6u);
-  queries::reset_prune_counters();
-  EXPECT_EQ(queries::prune_counters(), queries::PruneStats{});
+  EXPECT_EQ(delta.value_or("prune.blocks_total", 0), 20u);
+  EXPECT_EQ(delta.value_or("prune.bound_rebuilds", 0), 6u);
+  // An interval with no adds reads as zero.
+  EXPECT_EQ(queries::prune_stats_of(reg.snapshot().delta_since(after)),
+            queries::PruneStats{});
 }
 
 // --- tracing -----------------------------------------------------------------

@@ -34,6 +34,13 @@ on — the ones clang-tidy cannot know about:
                         TSan lane's Daemon suites. std::thread::id and
                         this_thread remain fine — only ownership primitives
                         are confined.
+  global-counter        No namespace-scope or `static` std::atomic<unsigned
+                        integer> in src/ outside src/support/telemetry/: a
+                        process-global unsigned atomic is a counter, and
+                        counters leave the process through the telemetry
+                        registry only. Member atomics (the arena's, the
+                        server's) and non-counter globals (atomic<int>,
+                        atomic<LogLevel>) are legal.
 
 A line may opt out of one rule with a trailing `lint:allow(<rule-id>)`
 marker (inside a comment), mirroring clang-tidy's NOLINT. Use sparingly and
@@ -93,6 +100,59 @@ class Rule:
             rel.startswith(p) for p in self.allowed_prefixes
         )
 
+    def violations(self, lines):
+        """Yields (lineno, raw line) for each line matching the rule."""
+        for lineno, raw in enumerate(lines, start=1):
+            if BLOCK_COMMENT_LINE.match(raw):
+                continue
+            if self.pattern.search(LINE_COMMENT.sub("", raw)):
+                yield lineno, raw
+
+
+# std::atomic over an unsigned integer type, spelled out or as an alias.
+UNSIGNED_ATOMIC = re.compile(
+    r"\bstd::atomic(?:\s*<\s*(?:std::)?(?:uint\w*|size_t|unsigned\b[\w\s]*)"
+    r"\s*>|_(?:uint\w*|size_t|u(?:long|llong|short|char))\b)"
+)
+STRING_LITERAL = re.compile(r'"(?:\\.|[^"\\])*"|\'(?:\\.|[^\'\\])*\'')
+NAMESPACE_OPENER = re.compile(
+    r"^\s*(?:inline\s+)?namespace\b[^(]*$|\bextern\s*\"\""
+)
+
+
+class GlobalCounterRule(Rule):
+    """Whether a declaration is process-global depends on its scope, not its
+    line: walk the braces and flag a match at namespace scope, or a `static`
+    one anywhere (static data members and function-local statics are one
+    per process too). Parameters, references and pointers are not storage."""
+
+    def violations(self, lines):
+        in_namespace = [True]  # per open brace: does it open a namespace?
+        stmt = ""  # statement text since the last ; { or }
+        for lineno, raw in enumerate(lines, start=1):
+            if raw.lstrip().startswith("#") or BLOCK_COMMENT_LINE.match(raw):
+                continue
+            code = STRING_LITERAL.sub('""', LINE_COMMENT.sub("", raw))
+            ends = {m.start(): m.end() for m in self.pattern.finditer(code)}
+            fired = False
+            for i, ch in enumerate(code):
+                if i in ends and not fired and "(" not in stmt:
+                    ref = code[ends[i]:].lstrip().startswith(("&", "*"))
+                    static = re.search(r"\bstatic\b", stmt) and not re.search(
+                        r"\bthread_local\b", stmt)
+                    if not ref and (in_namespace[-1] or static):
+                        fired = True
+                        yield lineno, raw
+                if ch not in "{};":
+                    stmt += ch
+                    continue
+                if ch == "{":
+                    in_namespace.append(bool(NAMESPACE_OPENER.search(stmt)))
+                elif ch == "}" and len(in_namespace) > 1:
+                    in_namespace.pop()
+                stmt = ""
+            stmt += " "
+
 
 RULES = [
     Rule(
@@ -140,6 +200,17 @@ RULES = [
         set(),
         ("src/grb/detail/", "src/daemon/"),
     ),
+    GlobalCounterRule(
+        "global-counter",
+        UNSIGNED_ATOMIC.pattern,
+        "process-global unsigned atomic outside src/support/telemetry/ — "
+        "count through a telemetry::Registry counter (or a member atomic a "
+        "registry provider publishes), so the registry stays the only "
+        "stats path",
+        ("src",),
+        set(),
+        ("src/support/telemetry/",),
+    ),
 ]
 
 
@@ -176,17 +247,13 @@ def scan(root):
             except OSError as e:
                 print(f"error: cannot read {rel}: {e}", file=sys.stderr)
                 return None
-            for lineno, raw in enumerate(lines, start=1):
+            for lineno, raw in rule.violations(lines):
                 allow = ALLOW_MARKER.search(raw)
                 if allow and allow.group(1) == rule.rule_id:
                     continue
-                if BLOCK_COMMENT_LINE.match(raw):
-                    continue
-                code = LINE_COMMENT.sub("", raw)
-                if rule.pattern.search(code):
-                    violations.append(
-                        (rel, lineno, rule.rule_id, rule.message, raw.rstrip())
-                    )
+                violations.append(
+                    (rel, lineno, rule.rule_id, rule.message, raw.rstrip())
+                )
     return violations
 
 
@@ -422,6 +489,33 @@ def self_test():
         "src/logger.cpp": (
             "#include <thread>\n"
             "std::thread::id last = std::this_thread::get_id();\n",
+            set(),
+        ),
+        # Process-global unsigned atomics: a namespace-scope counter and a
+        # function-local static one.
+        "src/queries/counters.cpp": (
+            "namespace {\nstd::atomic<std::uint64_t> g_blocks{0};\n}\n",
+            {"global-counter"},
+        ),
+        "src/queries/calls.cpp": (
+            "void f() {\n  static std::atomic<std::size_t> calls{0};\n}\n",
+            {"global-counter"},
+        ),
+        # Members, locals, parameters and non-counter globals stay legal,
+        "src/grb/detail/arena2.hpp": (
+            "class Arena {\n"
+            "  void note(std::atomic<std::uint64_t>& c) {\n"
+            "    std::atomic<std::size_t> local{0};\n"
+            "  }\n"
+            "  std::atomic<std::uint64_t> hits_{0};\n"
+            "};\n"
+            "std::atomic<int> g_threads{0};\n"
+            "std::atomic<LogLevel> g_level{LogLevel::kInfo};\n",
+            set(),
+        ),
+        # ... as is the telemetry layer, which owns the registry's storage.
+        "src/support/telemetry/metrics2.cpp": (
+            "std::atomic<std::uint64_t> g_seq{0};\n",
             set(),
         ),
         # Clean + suppressed content must NOT fire.
