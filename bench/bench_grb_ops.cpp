@@ -8,9 +8,7 @@
 // throughput can be tracked before/after kernel-pipeline changes at
 // SF ≥ 256 — and, via the Table-II extrapolation, at SF 2048 beyond the
 // contest's largest dataset. CI uploads the JSON output as a
-// perf-trajectory artifact; repeated-call benches attach the workspace
-// arena's counters (leases/misses per iteration, hit rate) so the JSON
-// also tracks whether the steady state stays allocation-free.
+// perf-trajectory artifact.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -18,7 +16,6 @@
 #include "datagen/scale_table.hpp"
 #include "grb/grb.hpp"
 #include "support/rng.hpp"
-#include "support/telemetry/metrics.hpp"
 
 namespace {
 
@@ -27,31 +24,6 @@ using grb::Index;
 using grb::Matrix;
 using grb::Vector;
 using U64 = std::uint64_t;
-
-/// Captures a registry snapshot at construction; report() attaches the
-/// arena delta since then to the benchmark as per-iteration counters plus
-/// the overall hit rate. Steady-state benches should show arena_miss ≈ 0
-/// after the first (warm-up) iterations.
-class ArenaCounters {
- public:
-  ArenaCounters() : start_(grbsm::telemetry::Registry::instance().snapshot()) {}
-
-  void report(benchmark::State& state) const {
-    const grb::WorkspaceStats d = grb::arena_stats_of(
-        grbsm::telemetry::Registry::instance().snapshot().delta_since(start_));
-    const auto leases = static_cast<double>(d.leases());
-    const auto misses = static_cast<double>(d.misses);
-    state.counters["arena_lease"] =
-        benchmark::Counter(leases, benchmark::Counter::kAvgIterations);
-    state.counters["arena_miss"] =
-        benchmark::Counter(misses, benchmark::Counter::kAvgIterations);
-    state.counters["arena_hit_rate"] =
-        leases > 0 ? (leases - misses) / leases : 1.0;
-  }
-
- private:
-  grbsm::telemetry::RegistrySnapshot start_;
-};
 
 /// Heavy-tailed random boolean matrix: column popularity is Zipf-like, the
 /// same shape as the Likes / Friends matrices.
@@ -76,14 +48,11 @@ void BM_Mxv(benchmark::State& state) {
   grb::ThreadGuard guard(static_cast<int>(state.range(0)));
   const auto a = social_matrix(kRows, kCols, kNnz, 1);
   const auto u = Vector<U64>::dense(kCols, [](Index i) { return i % 7 + 1; });
-  const ArenaCounters arena;
   for (auto _ : state) {
     Vector<U64> w(kRows);
     grb::mxv(w, grb::plus_second_semiring<U64>(), a, u);
     benchmark::DoNotOptimize(w);
-    grb::recycle(std::move(w));
   }
-  arena.report(state);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kNnz));
 }
@@ -101,14 +70,11 @@ void BM_MxvPush(benchmark::State& state) {
     fv.push_back(Bool{1});
   }
   const auto frontier = Vector<Bool>::build(kRows, fi, fv);
-  const ArenaCounters arena;
   for (auto _ : state) {
     Vector<Bool> w(kCols);
     grb::vxm(w, grb::lor_land_semiring<Bool>(), frontier, a);
     benchmark::DoNotOptimize(w);
-    grb::recycle(std::move(w));
   }
-  arena.report(state);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kNnz / 16));
 }
@@ -119,14 +85,11 @@ void BM_Mxm(benchmark::State& state) {
   // Likes' x NewFriends shape: tall-skinny right operand.
   const auto likes = social_matrix(kRows, kCols, kNnz, 2);
   const auto nf = social_matrix(kCols, 128, 256, 3);
-  const ArenaCounters arena;
   for (auto _ : state) {
     Matrix<U64> c(kRows, 128);
     grb::mxm(c, grb::plus_times_semiring<U64>(), likes, nf);
     benchmark::DoNotOptimize(c);
-    grb::recycle(std::move(c));
   }
-  arena.report(state);
 }
 BENCHMARK(BM_Mxm)->Arg(1)->Arg(8);
 
@@ -144,14 +107,11 @@ BENCHMARK(BM_MxmSquare)->Arg(1)->Arg(8);
 void BM_ReduceRows(benchmark::State& state) {
   grb::ThreadGuard guard(static_cast<int>(state.range(0)));
   const auto a = social_matrix(kRows, kCols, kNnz, 5);
-  const ArenaCounters arena;
   for (auto _ : state) {
     Vector<U64> w(kRows);
     grb::reduce_rows(w, grb::plus_monoid<U64>(), a);
     benchmark::DoNotOptimize(w);
-    grb::recycle(std::move(w));
   }
-  arena.report(state);
 }
 BENCHMARK(BM_ReduceRows)->Arg(1)->Arg(8);
 
@@ -310,14 +270,11 @@ void BM_MxvPullSF(benchmark::State& state) {
   const auto a = sf_matrix(sf, 25);
   const auto u =
       Vector<U64>::dense(a.ncols(), [](Index i) { return i % 7 + 1; });
-  const ArenaCounters arena;
   for (auto _ : state) {
     Vector<U64> w(a.nrows());
     grb::mxv(w, grb::min_second_semiring<U64>(), a, u);
     benchmark::DoNotOptimize(w);
-    grb::recycle(std::move(w));
   }
-  arena.report(state);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(a.nvals()));
 }
@@ -344,14 +301,11 @@ void BM_MxvPushSF(benchmark::State& state) {
     fv.push_back(Bool{1});
   }
   const auto frontier = Vector<Bool>::build(a.nrows(), fi, fv);
-  const ArenaCounters arena;
   for (auto _ : state) {
     Vector<Bool> w(a.ncols());
     grb::vxm(w, grb::lor_land_semiring<Bool>(), frontier, a);
     benchmark::DoNotOptimize(w);
-    grb::recycle(std::move(w));
   }
-  arena.report(state);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(a.nvals() / 16));
 }
@@ -369,14 +323,11 @@ void BM_ReduceRowsSF(benchmark::State& state) {
   const auto sf = static_cast<unsigned>(state.range(0));
   grb::ThreadGuard guard(static_cast<int>(state.range(1)));
   const auto a = sf_matrix(sf, 27);
-  const ArenaCounters arena;
   for (auto _ : state) {
     Vector<U64> w(a.nrows());
     grb::reduce_rows(w, grb::plus_monoid<U64>(), a);
     benchmark::DoNotOptimize(w);
-    grb::recycle(std::move(w));
   }
-  arena.report(state);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(a.nvals()));
 }

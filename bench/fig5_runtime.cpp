@@ -19,13 +19,10 @@
 //   --smoke                   (CI trend check: exit nonzero unless
 //                              GraphBLAS Incremental beats GraphBLAS Batch
 //                              on update-and-reevaluation at the largest
-//                              scale factor run, AND the workspace arena
-//                              serves the steady-state incremental loop
-//                              with zero misses after a warm-up pass; with
-//                              --shards=N it additionally cross-checks the
-//                              sharded engines' answers against the
-//                              unsharded ones and gates zero steady-state
-//                              misses per shard)
+//                              scale factor run; with --shards=N it
+//                              additionally cross-checks the sharded
+//                              engines' answers against the unsharded
+//                              ones)
 //   --shards=N                (also run the sharded engine pair at N
 //                              shards, one thread per shard)
 //   --pipeline=DEPTH          (also run the pipelined engine pair — the
@@ -47,10 +44,9 @@
 //   --json=PATH               (machine-readable results: timings per
 //                              tool/query/scale, plus throughput_cs_per_s
 //                              entries with --pipeline, plus — with
-//                              --smoke — the gate verdicts, the arena
-//                              counters, per-shard arena_hit_rate fields,
-//                              and a telemetry block: the epoch.*_us phase
-//                              histograms the in-process trace spans fed)
+//                              --smoke — the gate verdicts and a telemetry
+//                              block: the epoch.*_us phase histograms the
+//                              in-process trace spans fed)
 //   --trace=PATH              (arm epoch tracing for the whole run and
 //                              write a Chrome trace_event JSON at exit)
 //
@@ -94,14 +90,9 @@ struct SmokeResult {
   double incremental_s = -1.0;
   double batch_s = -1.0;
   unsigned scale = 0;
-  bool arena_ok = false;
-  grb::WorkspaceStats loop;  ///< steady-state unsharded update loop
-  // --- sharded gates (only with --shards=N) ---------------------------------
+  // --- sharded gate (only with --shards=N) ----------------------------------
   bool sharded_ran = false;
   bool sharded_answers_ok = false;
-  bool sharded_arena_ok = false;
-  grb::WorkspaceStats sharded_loop;
-  std::vector<grb::WorkspaceStats> per_shard;
   // --- pipeline gates (only with --pipeline=DEPTH) --------------------------
   bool pipeline_ran = false;
   bool pipeline_answers_ok = false;
@@ -120,8 +111,7 @@ struct SmokeResult {
   double telemetry_on_s = -1.0;   ///< update loop, kMetricsOnly (the default)
 
   [[nodiscard]] bool ok() const {
-    return trend_ok && arena_ok &&
-           (!sharded_ran || (sharded_answers_ok && sharded_arena_ok)) &&
+    return trend_ok && (!sharded_ran || sharded_answers_ok) &&
            (!pipeline_ran ||
             (pipeline_answers_ok && pipeline_throughput_ok)) &&
            (!prune_ran ||
@@ -162,18 +152,6 @@ void write_json(
     std::cerr << "fig5: cannot write --json=" << path << "\n";
     return;
   }
-  const auto stats_fields = [&](const grb::WorkspaceStats& w) {
-    std::fprintf(f,
-                 "\"leases\": %llu, \"hits\": %llu, \"steals\": %llu, "
-                 "\"misses\": %llu, \"splits\": %llu, \"shrinks\": %llu, "
-                 "\"arena_hit_rate\": %.6f",
-                 static_cast<unsigned long long>(w.leases()),
-                 static_cast<unsigned long long>(w.hits),
-                 static_cast<unsigned long long>(w.steals),
-                 static_cast<unsigned long long>(w.misses),
-                 static_cast<unsigned long long>(w.splits),
-                 static_cast<unsigned long long>(w.shrinks), w.hit_rate());
-  };
   std::fprintf(f, "{\n  \"bench\": \"fig5_runtime\",\n");
   std::fprintf(f, "  \"seed\": %llu,\n  \"repeats\": %d,\n  \"shards\": %d,\n",
                static_cast<unsigned long long>(seed), repeats, shards);
@@ -235,26 +213,15 @@ void write_json(
     std::fprintf(f,
                  ",\n  \"smoke\": {\n    \"ok\": %s,\n    \"trend_ok\": %s,\n"
                  "    \"incremental_s\": %.6g,\n    \"batch_s\": %.6g,\n"
-                 "    \"scale\": %u,\n    \"workspace\": {",
+                 "    \"scale\": %u",
                  smoke.ok() ? "true" : "false",
                  smoke.trend_ok ? "true" : "false", smoke.incremental_s,
                  smoke.batch_s, smoke.scale);
-    stats_fields(smoke.loop);
-    std::fprintf(f, ", \"arena_ok\": %s}", smoke.arena_ok ? "true" : "false");
     if (smoke.sharded_ran) {
       std::fprintf(f,
                    ",\n    \"sharded\": {\"shards\": %d, "
-                   "\"answers_match\": %s, \"arena_ok\": %s, \"workspace\": {",
-                   shards, smoke.sharded_answers_ok ? "true" : "false",
-                   smoke.sharded_arena_ok ? "true" : "false");
-      stats_fields(smoke.sharded_loop);
-      std::fprintf(f, "}, \"per_shard\": [");
-      for (std::size_t s = 0; s < smoke.per_shard.size(); ++s) {
-        std::fprintf(f, "%s\n      {\"shard\": %zu, ", s ? "," : "", s);
-        stats_fields(smoke.per_shard[s]);
-        std::fprintf(f, "}");
-      }
-      std::fprintf(f, "\n    ]}");
+                   "\"answers_match\": %s}",
+                   shards, smoke.sharded_answers_ok ? "true" : "false");
     }
     if (smoke.pipeline_ran) {
       std::fprintf(f,
@@ -573,87 +540,13 @@ int main(int argc, char** argv) {
                 sr.trend_ok ? "PASS" : "FAIL", qn, sr.incremental_s,
                 sr.trend_ok ? "<" : ">=", sr.batch_s, top);
 
-    // --- steady-state workspace check ----------------------------------------
-    // The paper's claim lives on the per-change-set update loop, and the
-    // arena exists to take the allocator off that loop: after one warm-up
-    // pass over the change sequence, a second identical run's update phase
-    // must lease every buffer from the pool — zero misses. The run is
-    // single-threaded (the incremental tool's configuration), so lease
-    // sequences are deterministic and the gate is exact. (High-watermark
-    // splits are counted as misses too, so zero misses also means the
-    // steady state never re-materialises a small class.)
     const auto& inc_tool = harness::find_tool("grb-incremental");
     const datagen::Dataset& ds = top_ds;  // generated by the timing loop
-    // Runs load + initial + the update loop; `mark`, when given, receives
-    // the registry snapshot taken after initial(), so the measured window
-    // (mark to the caller's next snapshot) is the update loop alone.
-    const auto run_updates = [&](const harness::ToolSpec& tool,
-                                 telemetry::RegistrySnapshot* mark) {
-      grb::ThreadGuard guard(tool.threads);
-      auto engine = harness::make_engine(tool, harness::Query::kQ2);
-      engine->load(ds.initial);
-      engine->initial();
-      if (mark != nullptr) *mark = telemetry::Registry::instance().snapshot();
-      for (const auto& cs : ds.changes) {
-        engine->update(cs);
-      }
-    };
-    const auto print_loop = [](const char* what, bool ok,
-                               const grb::WorkspaceStats& ws) {
-      std::printf(
-          "[%s] smoke workspace%s: steady-state update loop leased %llu "
-          "buffers (%.1f MiB): %llu hits, %llu steals, %llu misses; pool "
-          "caches %.1f MiB\n",
-          ok ? "PASS" : "FAIL", what,
-          static_cast<unsigned long long>(ws.leases()),
-          static_cast<double>(ws.bytes_leased) / (1024.0 * 1024.0),
-          static_cast<unsigned long long>(ws.hits),
-          static_cast<unsigned long long>(ws.steals),
-          static_cast<unsigned long long>(ws.misses),
-          static_cast<double>(ws.bytes_cached) / (1024.0 * 1024.0));
-      std::printf(
-          "  (donations %llu, drops %llu, splits %llu, shrinks %llu, buffers "
-          "cached %llu)\n",
-          static_cast<unsigned long long>(ws.donations),
-          static_cast<unsigned long long>(ws.drops),
-          static_cast<unsigned long long>(ws.splits),
-          static_cast<unsigned long long>(ws.shrinks),
-          static_cast<unsigned long long>(ws.buffers_cached));
-    };
-    // Trim first so the check is independent of whatever the timing runs
-    // above left in the pool, then warm up twice: the first pass's cold
-    // start populates the pool but also absorbs buffers into long-lived
-    // state in a different order than a warm run does; the second pass
-    // settles the pool into the per-run equilibrium that every subsequent
-    // run replays exactly.
-    grb::trim_workspace();
-    telemetry::RegistrySnapshot mark;
-    run_updates(inc_tool, nullptr);
-    run_updates(inc_tool, nullptr);
-    run_updates(inc_tool, &mark);  // measured
-    sr.loop = grb::arena_stats_of(
-        telemetry::Registry::instance().snapshot().delta_since(mark));
-    sr.arena_ok = sr.loop.misses == 0;
-    print_loop("", sr.arena_ok, sr.loop);
 
-    // --- sharded gates -------------------------------------------------------
-    // (1) Determinism: the sharded engines' answer sequences must be
-    // byte-identical to the unsharded ones on the smoke dataset. (2) The
-    // sharded steady-state update loop must also run without arena misses,
-    // globally and per shard. The loop is pinned to one thread (the shard
-    // fan-out serialises) so lease sequences stay deterministic and the
-    // per-shard domain counters partition the whole loop exactly.
+    // --- sharded gate --------------------------------------------------------
+    // Determinism: the sharded engines' answer sequences must be
+    // byte-identical to the unsharded ones on the smoke dataset.
     if (shards > 0) {
-      if (static_cast<std::size_t>(shards) >
-          grb::detail::Workspace::kMaxDomains) {
-        // Domains past the cap fold into the unattributed bucket and would
-        // read back as zero misses — a vacuously passing gate. Refuse.
-        std::cerr << "fig5 smoke: --shards=" << shards
-                  << " exceeds the arena's "
-                  << grb::detail::Workspace::kMaxDomains
-                  << " stats domains; the per-shard gate cannot be measured\n";
-        return 2;
-      }
       sr.sharded_ran = true;
       harness::ToolSpec sharded_inc;
       for (const auto& t : harness::sharded_tools(shards)) {
@@ -670,33 +563,6 @@ int main(int argc, char** argv) {
                   sr.sharded_answers_ok ? "PASS" : "FAIL", shards,
                   sr.sharded_answers_ok ? "match" : "DIVERGE from",
                   harness::query_name(harness::Query::kQ2));
-
-      harness::ToolSpec pinned = sharded_inc;
-      pinned.threads = 1;
-      grb::trim_workspace();
-      run_updates(pinned, nullptr);
-      run_updates(pinned, nullptr);
-      run_updates(pinned, &mark);  // measured
-      const telemetry::RegistrySnapshot loop =
-          telemetry::Registry::instance().snapshot().delta_since(mark);
-      sr.sharded_loop = grb::arena_stats_of(loop);
-      sr.sharded_arena_ok = sr.sharded_loop.misses == 0;
-      sr.per_shard.resize(static_cast<std::size_t>(shards));
-      for (std::size_t s = 0; s < sr.per_shard.size(); ++s) {
-        sr.per_shard[s] = grb::arena_stats_of(loop, s);
-        sr.sharded_arena_ok =
-            sr.sharded_arena_ok && sr.per_shard[s].misses == 0;
-      }
-      print_loop(" (sharded)", sr.sharded_arena_ok, sr.sharded_loop);
-      for (std::size_t s = 0; s < sr.per_shard.size(); ++s) {
-        const auto& d = sr.per_shard[s];
-        std::printf(
-            "    shard %zu: %llu leases (%.1f MiB), %llu misses, hit rate "
-            "%.4f\n",
-            s, static_cast<unsigned long long>(d.leases()),
-            static_cast<double>(d.bytes_leased) / (1024.0 * 1024.0),
-            static_cast<unsigned long long>(d.misses), d.hit_rate());
-      }
     }
 
     // --- pipeline gates ------------------------------------------------------

@@ -7,16 +7,21 @@
 
 namespace grbd {
 
-EpochStore::EpochStore(std::size_t retain) : retain_(retain) {
+EpochStore::EpochStore(std::size_t retain)
+    : retain_(retain), root_(std::make_shared<const Table>()) {
   if (retain_ == 0) {
     throw std::invalid_argument("EpochStore retain must be >= 1");
   }
-  root_.store(std::make_shared<const Table>(), std::memory_order_release);
+}
+
+EpochStore::TablePtr EpochStore::load() const {
+  const std::lock_guard<std::mutex> lock(root_mu_);
+  return root_;
 }
 
 void EpochStore::publish(Snapshot snap) {
   GRB_TRACE_SPAN("publish", snap.epoch);
-  const TablePtr old = root_.load(std::memory_order_acquire);
+  const TablePtr old = load();
   if (!old->window.empty() &&
       snap.epoch != old->window.back()->epoch + 1) {
     throw std::logic_error("EpochStore::publish: epochs must be dense");
@@ -28,7 +33,12 @@ void EpochStore::publish(Snapshot snap) {
   next->window.assign(old->window.end() - static_cast<std::ptrdiff_t>(keep),
                       old->window.end());
   next->window.push_back(std::make_shared<const Snapshot>(std::move(snap)));
-  root_.store(TablePtr(std::move(next)), std::memory_order_release);
+  {
+    // `old` still holds the previous root, so it is never freed under the
+    // lock.
+    const std::lock_guard<std::mutex> lock(root_mu_);
+    root_ = std::move(next);
+  }
   {
     // Empty critical section: pairs the store above with waiters' re-check
     // so no wait_published sleeper can miss the wake-up.
@@ -38,12 +48,12 @@ void EpochStore::publish(Snapshot snap) {
 }
 
 SnapshotPtr EpochStore::latest() const {
-  const TablePtr t = root_.load(std::memory_order_acquire);
+  const TablePtr t = load();
   return t->window.empty() ? nullptr : t->window.back();
 }
 
 SnapshotPtr EpochStore::at(std::uint64_t epoch) const {
-  const TablePtr t = root_.load(std::memory_order_acquire);
+  const TablePtr t = load();
   if (t->window.empty()) return nullptr;
   const std::uint64_t first = t->window.front()->epoch;
   const std::uint64_t last = t->window.back()->epoch;
@@ -52,7 +62,7 @@ SnapshotPtr EpochStore::at(std::uint64_t epoch) const {
 }
 
 bool EpochStore::evicted(std::uint64_t epoch) const {
-  const TablePtr t = root_.load(std::memory_order_acquire);
+  const TablePtr t = load();
   return !t->window.empty() && epoch < t->window.front()->epoch;
 }
 
@@ -78,7 +88,7 @@ SnapshotPtr EpochStore::wait_published(std::uint64_t epoch,
 }
 
 std::size_t EpochStore::size() const {
-  return root_.load(std::memory_order_acquire)->window.size();
+  return load()->window.size();
 }
 
 }  // namespace grbd

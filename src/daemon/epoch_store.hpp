@@ -1,29 +1,25 @@
 // EpochStore: the daemon's reader/writer hand-off. The single writer thread
 // publishes one immutable Snapshot per epoch (both query answers, already
-// rendered); N reader threads pin a snapshot with a single
-// atomic<shared_ptr> load and serve answers from it without ever waiting
-// out a merge on the apply path.
+// rendered); N reader threads pin a snapshot by copying one shared_ptr and
+// serve answers from it without ever waiting out a merge on the apply path.
 //
-// RCU shape: the store holds `std::atomic<std::shared_ptr<const Table>>`
-// where a Table is an immutable window of the last `retain` snapshots.
-// publish() builds a fresh Table (copy of the shared_ptr window + the new
-// snapshot) and swaps the root pointer; readers that loaded the old root
-// keep a consistent view alive for as long as they hold it — eviction only
-// drops the *store's* reference, never a pinned reader's.
+// RCU shape: the store holds a `std::shared_ptr<const Table>` where a Table
+// is an immutable window of the last `retain` snapshots. publish() builds a
+// fresh Table (copy of the shared_ptr window + the new snapshot) and swaps
+// the root pointer; readers that copied the old root keep a consistent view
+// alive for as long as they hold it — eviction only drops the *store's*
+// reference, never a pinned reader's.
 //
-// Progress guarantees, honestly: libstdc++ and libc++ implement
-// std::atomic<std::shared_ptr> with a small spinlock/mutex pool, so a pin
-// is lock-*light*, not lock-free or wait-free — a reader can briefly
-// contend with publish() on that pool lock. What the design does guarantee
-// is that readers never wait for a merge to finish and never hold anything
+// Progress guarantees, honestly: the root pointer is guarded by a mutex
+// (root_mu_), so a pin is lock-*light*, not lock-free — a reader can
+// briefly contend with publish() on it. What the design does guarantee is
+// that readers never wait for a merge to finish and never hold anything
 // while serving an answer; the critical sections are a pointer copy plus a
-// refcount bump. (Hazard pointers or an epoch-indexed ring of raw atomics
-// would buy true lock-freedom if that contention ever shows up.) The
-// store's own mutex+condvar pair exists solely for wait_published (readers
-// that pinned a future epoch and chose to wait for it).
+// refcount bump, or a pointer swap. The second mutex+condvar pair exists
+// solely for wait_published (readers that pinned a future epoch and chose
+// to wait for it); lock order is wait_mu_ before root_mu_.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -52,9 +48,9 @@ class EpochStore {
   /// single-threaded; this is checked).
   void publish(Snapshot snap);
 
-  /// Reader side — each is a single atomic<shared_ptr> load (lock-light,
-  /// not wait-free: see the progress-guarantees note above); none ever
-  /// waits on the writer.
+  /// Reader side — each is one locked pointer copy (lock-light, not
+  /// wait-free: see the progress-guarantees note above); none ever waits
+  /// on the writer.
   /// Newest snapshot, or nullptr before the first publish.
   [[nodiscard]] SnapshotPtr latest() const;
   /// The snapshot pinned at `epoch`: nullptr when `epoch` is not (or no
@@ -82,8 +78,12 @@ class EpochStore {
   };
   using TablePtr = std::shared_ptr<const Table>;
 
+  /// Copies the root pointer under root_mu_.
+  [[nodiscard]] TablePtr load() const;
+
   std::size_t retain_;
-  std::atomic<std::shared_ptr<const Table>> root_;
+  mutable std::mutex root_mu_;  ///< guards root_ (copy or swap only)
+  TablePtr root_;
   /// wait_published only — the read path never touches these.
   mutable std::mutex wait_mu_;
   std::condition_variable wait_cv_;

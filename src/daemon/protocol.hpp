@@ -28,7 +28,7 @@
 // publishes epoch k.
 //
 // kMetrics is the only stats request: every counter leaves the daemon as
-// one coherent registry snapshot (daemon.*, prune.*, arena.*, epoch.*_us),
+// one coherent registry snapshot (daemon.*, prune.*, epoch.*_us),
 // and a client reads an interval by diffing two of them with
 // RegistrySnapshot::delta_since. Type bytes 0x04/0x84 (the retired
 // fixed-layout stats pair) are not reused; a 0x04 request gets kBadRequest.

@@ -265,7 +265,7 @@ bool Server::handle_frame(const Frame& f, int out_fd) {
       static telemetry::Histogram& answer_hist =
           telemetry::Registry::instance().histogram("epoch.answer_us");
       telemetry::SpanScope answer_span("answer", 0, &answer_hist);
-      SnapshotPtr snap;  // the pin: one atomic<shared_ptr> load (lock-light,
+      SnapshotPtr snap;  // the pin: one locked pointer copy (lock-light,
                          // see epoch_store.hpp); never waits out a merge
       if (pin == kLatestEpoch) {
         snap = store_.latest();
@@ -290,9 +290,9 @@ bool Server::handle_frame(const Frame& f, int out_fd) {
     case MsgType::kMetrics: {
       PayloadReader in(f.payload);
       in.expect_done();
-      // One coherent snapshot per response (the seqlock waits out any
-      // half-applied batch, so prune.* keeps scanned + skipped == total),
-      // with every registered name: prune.*, arena.*, daemon.*, epoch.*_us.
+      // One coherent snapshot per response (it never reads a half-applied
+      // batch, so prune.* keeps scanned + skipped == total), with every
+      // registered name: prune.*, daemon.*, epoch.*_us.
       const std::vector<std::uint8_t> blob =
           telemetry::serialize(telemetry::Registry::instance().snapshot());
       PayloadWriter out;

@@ -6,8 +6,8 @@
 //
 //   * Connection threads never touch the engines. A kApply enqueues the
 //     decoded change set (mutex+cv queue) and immediately learns its epoch
-//     number; a kQuery pins a snapshot in the EpochStore with a single
-//     atomic<shared_ptr> load (lock-light — see epoch_store.hpp) and
+//     number; a kQuery pins a snapshot in the EpochStore with one locked
+//     shared_ptr copy (lock-light — see epoch_store.hpp) and
 //     serves from it. Readers therefore never wait on the apply path, and
 //     the apply path never waits on readers.
 //   * The single writer thread drains the queue into the engines'

@@ -1,13 +1,7 @@
-// Debug-mode concurrency-correctness instrumentation. Three families of
-// checks, all compiled out in Release (NDEBUG) builds so the steady-state
+// Debug-mode concurrency-correctness instrumentation. Two families of
+// checks, both compiled out in Release (NDEBUG) builds so the steady-state
 // hot paths carry zero overhead:
 //
-//   * LeaseRegistry — ownership tracking for workspace arena leases:
-//     double-detach, use-after-detach and cross-thread detach abort with the
-//     owning thread and size class in the message; leak-at-trim (live leases
-//     when trim_workspace() runs) is *reported* to stderr rather than fatal,
-//     because trimming around a long-lived lease is legal — just suspicious
-//     enough to deserve a forensic line.
 //   * OverlapChecker — a chunk-grid write-overlap detector for the parallel
 //     drivers (parallel_for / parallel_tasks / for_each_shard): each worker
 //     claims its output range [lo, hi) before writing and two live
@@ -44,7 +38,6 @@
 #include <sstream>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 #endif
 
@@ -99,68 +92,6 @@ inline std::string thread_id_string(std::thread::id id) {
   os << id;
   return os.str();
 }
-
-/// Debug ledger of live workspace leases. One registry per Workspace; every
-/// lease registers on acquisition and unregisters on release/detach, so at
-/// any instant the registry knows who (thread), what (element type) and how
-/// big (size class, bytes) every outstanding lease is.
-class LeaseRegistry {
- public:
-  struct Record {
-    std::thread::id owner;
-    int size_class = 0;
-    std::size_t bytes = 0;
-    const char* type_name = "";
-  };
-
-  /// Registers a new live lease; returns its token (never 0).
-  std::uint64_t on_lease(int size_class, std::size_t bytes,
-                         const char* type_name) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    const std::uint64_t token = ++next_token_;
-    live_.emplace(token, Record{std::this_thread::get_id(), size_class, bytes,
-                                type_name});
-    return token;
-  }
-
-  /// Unregisters a lease (normal release back to the pool, or detach).
-  void on_release(std::uint64_t token) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    live_.erase(token);
-  }
-
-  [[nodiscard]] std::size_t live_count() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return live_.size();
-  }
-
-  /// Leak-at-trim report: if any lease is still live, prints one forensic
-  /// line per lease (owning thread + size class + bytes + type) to stderr
-  /// and returns the count. Non-fatal by design — see the file comment.
-  std::size_t report_leaks(const char* when) const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (live_.empty()) return 0;
-    std::fprintf(stderr,
-                 "[grb-check] WARNING %s: %zu workspace lease(s) still live "
-                 "(leak-at-trim?)\n",
-                 when, live_.size());
-    for (const auto& [token, rec] : live_) {
-      std::fprintf(stderr,
-                   "[grb-check]   live lease #%llu: owner-thread=%s "
-                   "size-class=%d bytes=%zu type=%s\n",
-                   static_cast<unsigned long long>(token),
-                   thread_id_string(rec.owner).c_str(), rec.size_class,
-                   rec.bytes, rec.type_name);
-    }
-    std::fflush(stderr);
-    return live_.size();
-  }
-
- private:
-  mutable std::mutex mu_;
-  std::uint64_t next_token_ = 0;
-  std::unordered_map<std::uint64_t, Record> live_;
-};
 
 /// Chunk-grid write-overlap detector. One checker per parallel driver
 /// invocation (stack-allocated, shared by the team); each worker claims the
@@ -302,14 +233,6 @@ class ReentrancyScope {
 };
 
 #else  // !GRB_CHECKS_ENABLED — zero-size stand-ins, everything inlines away.
-
-class LeaseRegistry {
- public:
-  std::uint64_t on_lease(int, std::size_t, const char*) noexcept { return 0; }
-  void on_release(std::uint64_t) noexcept {}
-  [[nodiscard]] std::size_t live_count() const noexcept { return 0; }
-  std::size_t report_leaks(const char*) const noexcept { return 0; }
-};
 
 class OverlapChecker {
  public:

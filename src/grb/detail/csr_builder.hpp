@@ -11,10 +11,6 @@
 // Kernels therefore emit sorted CSR directly: no per-row heap staging
 // (std::vector<std::vector<...>>), no output tuple sort, and no copy from
 // intermediate buffers — the arrays are handed to Matrix::adopt_csr as-is.
-//
-// All arrays (rowptr, colind, val, per-thread staging) lease from the
-// Context workspace: on the steady state of an iteration loop the builder
-// runs entirely on recycled capacity and never touches the allocator.
 #pragma once
 
 #include <span>
@@ -22,7 +18,6 @@
 #include <vector>
 
 #include "grb/detail/parallel.hpp"
-#include "grb/detail/workspace.hpp"
 #include "grb/matrix.hpp"
 #include "grb/types.hpp"
 
@@ -32,11 +27,7 @@ template <typename T>
 class CsrBuilder {
  public:
   CsrBuilder(Index nrows, Index ncols)
-      : nrows_(nrows),
-        ncols_(ncols),
-        rowptr_(workspace().lease<Index>(nrows + 1)) {
-    rowptr_->assign(nrows + 1, 0);
-  }
+      : nrows_(nrows), ncols_(ncols), rowptr_(nrows + 1, 0) {}
 
   [[nodiscard]] Index nrows() const noexcept { return nrows_; }
   [[nodiscard]] Index ncols() const noexcept { return ncols_; }
@@ -44,59 +35,55 @@ class CsrBuilder {
   /// Pass 1: declare that output row i holds n entries. Each row must be
   /// claimed exactly once (rows default to empty); any thread may claim any
   /// row, but a row must not be claimed twice.
-  void count_row(Index i, Index n) noexcept { (*rowptr_)[i + 1] = n; }
+  void count_row(Index i, Index n) noexcept { rowptr_[i + 1] = n; }
 
   /// Pass-1 alternative for histogram-style kernels (transpose): the count
   /// slot of row i is counts()[i]. Not thread-safe across shared rows.
   [[nodiscard]] std::span<Index> counts() noexcept {
-    return {rowptr_->data() + 1, static_cast<std::size_t>(nrows_)};
+    return {rowptr_.data() + 1, static_cast<std::size_t>(nrows_)};
   }
 
   /// Scans counts into offsets and allocates the entry arrays. Returns the
   /// output nnz. Must be called exactly once, between the passes.
   Index finish_symbolic() {
-    const Index nnz = parallel_scan(*rowptr_);
-    colind_ = workspace().lease<Index>(nnz);
-    val_ = workspace().lease<T>(nnz);
-    colind_->resize(nnz);
-    val_->resize(nnz);
+    const Index nnz = parallel_scan(rowptr_);
+    colind_.resize(nnz);
+    val_.resize(nnz);
     return nnz;
   }
 
   /// Pass 2 views: row i owns [rowptr[i], rowptr[i+1]) of the flat arrays.
   /// Entries must be written in ascending column order.
   [[nodiscard]] Index row_offset(Index i) const noexcept {
-    return (*rowptr_)[i];
+    return rowptr_[i];
   }
   [[nodiscard]] std::span<Index> row_cols(Index i) noexcept {
-    return {colind_->data() + (*rowptr_)[i],
-            static_cast<std::size_t>((*rowptr_)[i + 1] - (*rowptr_)[i])};
+    return {colind_.data() + rowptr_[i],
+            static_cast<std::size_t>(rowptr_[i + 1] - rowptr_[i])};
   }
   [[nodiscard]] std::span<T> row_vals(Index i) noexcept {
-    return {val_->data() + (*rowptr_)[i],
-            static_cast<std::size_t>((*rowptr_)[i + 1] - (*rowptr_)[i])};
+    return {val_.data() + rowptr_[i],
+            static_cast<std::size_t>(rowptr_[i + 1] - rowptr_[i])};
   }
 
   /// Flat views for scatter-style kernels (transpose) that address entries
   /// by absolute position rather than per-row spans.
-  [[nodiscard]] std::span<Index> all_cols() noexcept { return *colind_; }
-  [[nodiscard]] std::span<T> all_vals() noexcept { return *val_; }
+  [[nodiscard]] std::span<Index> all_cols() noexcept { return colind_; }
+  [[nodiscard]] std::span<T> all_vals() noexcept { return val_; }
 
-  /// Hands the finished arrays to a Matrix, detaching them from the arena
-  /// (they re-enter it when the matrix retires through grb::recycle). Debug
-  /// builds verify the CSR invariants; Release builds skip the O(nnz) check
-  /// (CsrCheck::kDebug).
+  /// Hands the finished arrays to a Matrix. Debug builds verify the CSR
+  /// invariants; Release builds skip the O(nnz) check (CsrCheck::kDebug).
   [[nodiscard]] Matrix<T> take() && {
-    return Matrix<T>::adopt_csr(nrows_, ncols_, rowptr_.detach(),
-                                colind_.detach(), val_.detach());
+    return Matrix<T>::adopt_csr(nrows_, ncols_, std::move(rowptr_),
+                                std::move(colind_), std::move(val_));
   }
 
  private:
   Index nrows_ = 0;
   Index ncols_ = 0;
-  Lease<Index> rowptr_;
-  Lease<Index> colind_;
-  Lease<T> val_;
+  std::vector<Index> rowptr_;
+  std::vector<Index> colind_;
+  std::vector<T> val_;
 };
 
 /// Row-parallel two-pass driver for kernels whose per-row work needs no
@@ -144,33 +131,33 @@ Matrix<T> build_csr_staged(Index nrows, Index ncols, EmitRowF&& emit_row,
     // Serial: the stream of emitted entries IS the final CSR entry order,
     // so append straight into the output arrays and adopt them — one pass,
     // zero copies, exactly the classic serial merge.
-    auto rowptr = workspace().lease<Index>(nrows + 1);
-    auto colind = workspace().lease<Index>(work);
-    auto val = workspace().lease<T>(work);
-    rowptr->assign(nrows + 1, 0);
+    std::vector<Index> rowptr(nrows + 1, 0);
+    std::vector<Index> colind;
+    std::vector<T> val;
+    colind.reserve(work);
+    val.reserve(work);
     for (Index i = 0; i < nrows; ++i) {
       emit_row(i, [&](Index j, const T& v) {
-        colind->push_back(j);
-        val->push_back(v);
+        colind.push_back(j);
+        val.push_back(v);
       });
-      (*rowptr)[i + 1] = static_cast<Index>(colind->size());
+      rowptr[i + 1] = static_cast<Index>(colind.size());
     }
-    return Matrix<T>::adopt_csr(nrows, ncols, rowptr.detach(),
-                                colind.detach(), val.detach());
+    return Matrix<T>::adopt_csr(nrows, ncols, std::move(rowptr),
+                                std::move(colind), std::move(val));
   }
   CsrBuilder<T> builder(nrows, ncols);
-  // Per-thread staging leased up front, pre-sized to the thread cap (the
-  // delivered team is never larger) so the regions stay lock-free and need
-  // no barrier.
+  // Per-thread staging sized up front to the thread cap (the delivered team
+  // is never larger) so the regions need no barrier.
   const auto nteam = static_cast<std::size_t>(effective_threads());
   const std::size_t per_thread = static_cast<std::size_t>(work) / nteam + 1;
-  auto col_stage = workspace().lease_team<Index>(nteam, per_thread);
-  auto val_stage = workspace().lease_team<T>(nteam, per_thread);
+  auto col_stage = team_buffers<Index>(nteam, per_thread);
+  auto val_stage = team_buffers<T>(nteam, per_thread);
   int stripes = 1;  // pass-1 team size; pins the row→buffer mapping
   parallel_region([&](int tid, int nthreads) {
     if (tid == 0) stripes = nthreads;
-    auto& cbuf = col_stage.buf(static_cast<std::size_t>(tid));
-    auto& vbuf = val_stage.buf(static_cast<std::size_t>(tid));
+    auto& cbuf = col_stage[static_cast<std::size_t>(tid)];
+    auto& vbuf = val_stage[static_cast<std::size_t>(tid)];
     for (Index i = static_cast<Index>(tid); i < nrows;
          i += static_cast<Index>(nthreads)) {
       const std::size_t before = cbuf.size();
@@ -186,8 +173,8 @@ Matrix<T> build_csr_staged(Index nrows, Index ncols, EmitRowF&& emit_row,
     // Replay stripe by stripe so the mapping stays correct even if this
     // region's team size differs from pass 1's.
     for (int t = tid; t < stripes; t += nthreads) {
-      const auto& cbuf = col_stage.buf(static_cast<std::size_t>(t));
-      const auto& vbuf = val_stage.buf(static_cast<std::size_t>(t));
+      const auto& cbuf = col_stage[static_cast<std::size_t>(t)];
+      const auto& vbuf = val_stage[static_cast<std::size_t>(t)];
       std::size_t r = 0;
       for (Index i = static_cast<Index>(t); i < nrows;
            i += static_cast<Index>(stripes)) {

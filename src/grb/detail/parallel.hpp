@@ -24,7 +24,6 @@
 
 #include "grb/context.hpp"
 #include "grb/detail/check.hpp"
-#include "grb/detail/workspace.hpp"
 #include "grb/types.hpp"
 
 namespace grb::detail {
@@ -169,6 +168,16 @@ inline bool staged_runs_parallel(Index n, Index work_hint = 0) {
   return effective_threads() > 1 && work >= kParallelThreshold;
 }
 
+/// One scratch vector per thread of a team, each with capacity >= n,
+/// allocated before the parallel region that fills them (thread tid uses
+/// bufs[tid]), so no worker allocates on entry.
+template <typename T>
+std::vector<std::vector<T>> team_buffers(std::size_t team, std::size_t n) {
+  std::vector<std::vector<T>> bufs(team);
+  for (auto& b : bufs) b.reserve(n);
+  return bufs;
+}
+
 /// Chunk width of parallel_fold's reduction grid. Fixed (never derived from
 /// the delivered team size) so the fold tree — and therefore the result,
 /// even for non-associative float addition — is bit-identical across thread
@@ -187,9 +196,7 @@ S parallel_fold(Index n, S init, ChunkF&& chunk_fold, JoinF&& join) {
   if (n == 0) return init;
   const Index nchunks = (n + kFoldChunk - 1) / kFoldChunk;
   if (nchunks == 1) return join(init, chunk_fold(Index{0}, n));
-  auto partial_lease = workspace().lease<S>(nchunks);
-  auto& partial = *partial_lease;
-  partial.resize(nchunks);
+  std::vector<S> partial(nchunks);
   parallel_for(
       nchunks,
       [&](Index c) {
@@ -222,10 +229,7 @@ inline Index parallel_scan(std::span<Index> rowptr) {
   // the chunk offset. Barriers separate the phases; each physical barrier
   // carries a matching TSan release/acquire pair because libgomp's futex
   // barriers are invisible to the sanitizer.
-  auto chunk_sum_lease =
-      workspace().lease<Index>(static_cast<std::size_t>(nthreads) + 1);
-  auto& chunk_sum = *chunk_sum_lease;
-  chunk_sum.assign(static_cast<std::size_t>(nthreads) + 1, 0);
+  std::vector<Index> chunk_sum(static_cast<std::size_t>(nthreads) + 1, 0);
   char single_sync = 0;
   parallel_region([&](int tid, int nt) {
     const Index chunk = (n + static_cast<Index>(nt) - 1) / static_cast<Index>(nt);

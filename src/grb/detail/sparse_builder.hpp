@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "grb/detail/parallel.hpp"
-#include "grb/detail/workspace.hpp"
 #include "grb/types.hpp"
 #include "grb/vector.hpp"
 
@@ -48,12 +47,10 @@ class SparseVecBuilder {
   SparseVecBuilder(Index size, Index domain)
       : size_(size),
         domain_(domain),
-        chunkptr_(workspace().lease<Index>(sparse_num_chunks(domain) + 1)) {
-    chunkptr_->assign(sparse_num_chunks(domain) + 1, 0);
-  }
+        chunkptr_(sparse_num_chunks(domain) + 1, 0) {}
 
   [[nodiscard]] Index num_chunks() const noexcept {
-    return static_cast<Index>(chunkptr_->size() - 1);
+    return static_cast<Index>(chunkptr_.size() - 1);
   }
   [[nodiscard]] Index chunk_lo(Index c) const noexcept {
     return c * kSparseChunk;
@@ -63,43 +60,41 @@ class SparseVecBuilder {
   }
 
   /// Pass 1: declare that chunk c produces n entries.
-  void count_chunk(Index c, Index n) noexcept { (*chunkptr_)[c + 1] = n; }
+  void count_chunk(Index c, Index n) noexcept { chunkptr_[c + 1] = n; }
 
   /// Scans counts into offsets and allocates the entry arrays. Returns the
   /// output nvals. Must be called exactly once, between the passes.
   Index finish_symbolic() {
-    const Index nnz = parallel_scan(*chunkptr_);
-    ind_ = workspace().lease<Index>(nnz);
-    val_ = workspace().lease<T>(nnz);
-    ind_->resize(nnz);
-    val_->resize(nnz);
+    const Index nnz = parallel_scan(chunkptr_);
+    ind_.resize(nnz);
+    val_.resize(nnz);
     return nnz;
   }
 
   /// Pass 2 views: chunk c owns [chunkptr[c], chunkptr[c+1]) of the flat
   /// arrays. Entries must be written in ascending index order.
   [[nodiscard]] std::span<Index> chunk_indices(Index c) noexcept {
-    return {ind_->data() + (*chunkptr_)[c],
-            static_cast<std::size_t>((*chunkptr_)[c + 1] - (*chunkptr_)[c])};
+    return {ind_.data() + chunkptr_[c],
+            static_cast<std::size_t>(chunkptr_[c + 1] - chunkptr_[c])};
   }
   [[nodiscard]] std::span<T> chunk_values(Index c) noexcept {
-    return {val_->data() + (*chunkptr_)[c],
-            static_cast<std::size_t>((*chunkptr_)[c + 1] - (*chunkptr_)[c])};
+    return {val_.data() + chunkptr_[c],
+            static_cast<std::size_t>(chunkptr_[c + 1] - chunkptr_[c])};
   }
 
-  /// Hands the finished arrays to a Vector, detaching them from the arena
-  /// (invariants verified per `check`, by default in debug builds only).
+  /// Hands the finished arrays to a Vector (invariants verified per
+  /// `check`, by default in debug builds only).
   [[nodiscard]] Vector<T> take(CsrCheck check = CsrCheck::kDebug) && {
-    return Vector<T>::adopt_sorted(size_, ind_.detach(), val_.detach(),
+    return Vector<T>::adopt_sorted(size_, std::move(ind_), std::move(val_),
                                    check);
   }
 
  private:
   Index size_ = 0;
   Index domain_ = 0;
-  Lease<Index> chunkptr_;
-  Lease<Index> ind_;
-  Lease<T> val_;
+  std::vector<Index> chunkptr_;
+  std::vector<Index> ind_;
+  std::vector<T> val_;
 };
 
 /// Chunk-parallel two-pass driver for kernels whose symbolic pass is much
@@ -149,25 +144,27 @@ Vector<T> build_sparse_staged(Index size, Index domain, EmitRangeF&& emit_range,
   const Index work = work_hint == 0 ? domain : work_hint;
   // A single chunk cannot split across threads; run the zero-copy path.
   if (sparse_num_chunks(domain) <= 1 || !staged_runs_parallel(domain, work)) {
-    auto ind = workspace().lease<Index>(work);
-    auto val = workspace().lease<T>(work);
+    std::vector<Index> ind;
+    std::vector<T> val;
+    ind.reserve(work);
+    val.reserve(work);
     emit_range(Index{0}, domain, [&](Index i, const T& v) {
-      ind->push_back(i);
-      val->push_back(v);
+      ind.push_back(i);
+      val.push_back(v);
     });
-    return Vector<T>::adopt_sorted(size, ind.detach(), val.detach());
+    return Vector<T>::adopt_sorted(size, std::move(ind), std::move(val));
   }
   SparseVecBuilder<T> builder(size, domain);
   const Index nchunks = builder.num_chunks();
   const auto nteam = static_cast<std::size_t>(effective_threads());
   const std::size_t per_thread = static_cast<std::size_t>(work) / nteam + 1;
-  auto ind_stage = workspace().lease_team<Index>(nteam, per_thread);
-  auto val_stage = workspace().lease_team<T>(nteam, per_thread);
+  auto ind_stage = team_buffers<Index>(nteam, per_thread);
+  auto val_stage = team_buffers<T>(nteam, per_thread);
   int stripes = 1;  // pass-1 team size; pins the chunk→buffer mapping
   parallel_region([&](int tid, int nthreads) {
     if (tid == 0) stripes = nthreads;
-    auto& ibuf = ind_stage.buf(static_cast<std::size_t>(tid));
-    auto& vbuf = val_stage.buf(static_cast<std::size_t>(tid));
+    auto& ibuf = ind_stage[static_cast<std::size_t>(tid)];
+    auto& vbuf = val_stage[static_cast<std::size_t>(tid)];
     for (Index c = static_cast<Index>(tid); c < nchunks;
          c += static_cast<Index>(nthreads)) {
       const std::size_t before = ibuf.size();
@@ -184,8 +181,8 @@ Vector<T> build_sparse_staged(Index size, Index domain, EmitRangeF&& emit_range,
     // Replay stripe by stripe so the mapping stays correct even if this
     // region's team size differs from pass 1's.
     for (int t = tid; t < stripes; t += nthreads) {
-      const auto& ibuf = ind_stage.buf(static_cast<std::size_t>(t));
-      const auto& vbuf = val_stage.buf(static_cast<std::size_t>(t));
+      const auto& ibuf = ind_stage[static_cast<std::size_t>(t)];
+      const auto& vbuf = val_stage[static_cast<std::size_t>(t)];
       std::size_t r = 0;
       for (Index c = static_cast<Index>(t); c < nchunks;
            c += static_cast<Index>(stripes)) {
@@ -241,15 +238,8 @@ Vector<T> scatter_reduce(Index size, Index nitems, ScatterF&& scatter,
                          CombineF&& combine, Index work_hint = 0) {
   const Index work = work_hint == 0 ? nitems : work_hint;
   if (!staged_runs_parallel(nitems, work)) {
-    // Dense accumulator scratch leased from the arena: the Fig. 5 loop's
-    // repeated small pushes reuse one warm buffer instead of paying an
-    // O(size) allocation per call.
-    auto acc_lease = workspace().lease<T>(size);
-    auto hit_lease = workspace().lease<unsigned char>(size);
-    auto& acc = *acc_lease;
-    auto& hit = *hit_lease;
-    acc.resize(size);
-    hit.assign(size, 0);
+    std::vector<T> acc(size);
+    std::vector<unsigned char> hit(size, 0);
     for (Index k = 0; k < nitems; ++k) {
       scatter(k, [&](Index j, const T& v) {
         if (hit[j]) {
@@ -265,13 +255,13 @@ Vector<T> scatter_reduce(Index size, Index nitems, ScatterF&& scatter,
         [&](Index j) { return acc[j]; });
   }
   const auto nthreads = static_cast<std::size_t>(effective_threads());
-  auto acc = workspace().lease_team<T>(nthreads, size);
-  auto hit = workspace().lease_team<unsigned char>(nthreads, size);
+  auto acc = team_buffers<T>(nthreads, size);
+  auto hit = team_buffers<unsigned char>(nthreads, size);
   int team = 1;
   parallel_region([&](int tid, int nt) {
     if (tid == 0) team = nt;
-    auto& a = acc.buf(static_cast<std::size_t>(tid));
-    auto& h = hit.buf(static_cast<std::size_t>(tid));
+    auto& a = acc[static_cast<std::size_t>(tid)];
+    auto& h = hit[static_cast<std::size_t>(tid)];
     a.resize(size);
     h.assign(size, 0);
     for (Index k = static_cast<Index>(tid); k < nitems;
@@ -287,14 +277,14 @@ Vector<T> scatter_reduce(Index size, Index nitems, ScatterF&& scatter,
     }
   });
   // Merge the partials into stripe 0 in thread order, slot-parallel.
-  auto& a0 = acc.buf(0);
-  auto& h0 = hit.buf(0);
+  auto& a0 = acc[0];
+  auto& h0 = hit[0];
   parallel_for(
       size,
       [&](Index j) {
         for (int t = 1; t < team; ++t) {
-          const auto& at = acc.buf(static_cast<std::size_t>(t));
-          const auto& ht = hit.buf(static_cast<std::size_t>(t));
+          const auto& at = acc[static_cast<std::size_t>(t)];
+          const auto& ht = hit[static_cast<std::size_t>(t)];
           if (!ht[j]) continue;
           if (h0[j]) {
             a0[j] = static_cast<T>(combine(a0[j], at[j]));

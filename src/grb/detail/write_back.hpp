@@ -68,12 +68,9 @@ void write_back(Vector<CT>& c, const Vector<MT>* mask, Accum accum,
     throw DimensionMismatch("mask size " + std::to_string(mask->size()) +
                             " vs output size " + std::to_string(c.size()));
   }
-  // Fast path: unmasked, no accumulator — C = T. The replaced output's
-  // storage is donated to the arena first, so loop-carried outputs cycle
-  // their capacity through the workspace instead of freeing it.
+  // Fast path: unmasked, no accumulator — C = T.
   if (mask == nullptr && !desc.complement_mask && !has_accum_v<Accum>) {
     if constexpr (std::is_same_v<CT, TT>) {
-      recycle(std::move(c));
       c = std::move(t);
       return;
     }
@@ -136,10 +133,6 @@ void write_back(Vector<CT>& c, const Vector<MT>* mask, Accum accum,
   auto merged = build_sparse_staged<CT>(
       c.size(), c.size(), merge_range,
       static_cast<Index>(ci.size() + ti.size()));
-  // The merge is complete; retire the old output and the consumed
-  // intermediate into the arena before installing the result.
-  recycle(std::move(t));
-  recycle(std::move(c));
   c = std::move(merged);
 }
 
@@ -165,7 +158,6 @@ void write_back(Matrix<CT>& c, const Matrix<MT>* mask, Accum accum,
   }
   if (mask == nullptr && !desc.complement_mask && !has_accum_v<Accum>) {
     if constexpr (std::is_same_v<CT, TT>) {
-      recycle(std::move(c));
       c = std::move(t);
       return;
     }
@@ -230,8 +222,6 @@ void write_back(Matrix<CT>& c, const Matrix<MT>* mask, Accum accum,
   // reserve bound for the staging buffers.
   auto merged = build_csr_staged<CT>(c.nrows(), c.ncols(), merge_row,
                                      c.nvals() + t.nvals());
-  recycle(std::move(t));
-  recycle(std::move(c));
   c = std::move(merged);
 }
 

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "grb/binary_ops.hpp"
-#include "grb/detail/workspace.hpp"
 #include "grb/types.hpp"
 
 namespace grb {
@@ -33,15 +32,6 @@ struct Tuple {
   T val{};
 
   friend bool operator==(const Tuple&, const Tuple&) = default;
-};
-
-/// A matrix's raw CSR arrays, released for capacity reuse
-/// (Matrix::release_storage / Matrix::adopt_storage).
-template <typename T>
-struct CsrStorage {
-  std::vector<Index> rowptr;
-  std::vector<Index> colind;
-  std::vector<T> val;
 };
 
 // CsrCheck (the adopt-time invariant-check toggle) lives in grb/types.hpp:
@@ -59,21 +49,9 @@ class Matrix {
 
   Matrix() = default;
 
-  /// Empty nrows × ncols matrix (GrB_Matrix_new). The rowptr array comes
-  /// from the Context workspace, so loops that construct a fresh output
-  /// every iteration recycle capacity instead of reallocating. Tiny
-  /// matrices stay on plain allocation: the pool does not track sub-
-  /// kMinBuffer storage, and default-member matrices are routinely replaced
-  /// by move-assignment, where pooled storage would leak out of the arena.
-  Matrix(Index nrows, Index ncols) : nrows_(nrows), ncols_(ncols) {
-    if (static_cast<std::size_t>(nrows) + 1 >= detail::Workspace::kMinBuffer) {
-      auto lease = detail::workspace().lease<Index>(nrows + 1);
-      lease->assign(nrows + 1, 0);
-      rowptr_ = lease.detach();
-    } else {
-      rowptr_.assign(nrows + 1, 0);
-    }
-  }
+  /// Empty nrows × ncols matrix (GrB_Matrix_new).
+  Matrix(Index nrows, Index ncols)
+      : nrows_(nrows), ncols_(ncols), rowptr_(nrows + 1, 0) {}
 
   /// Builds from coordinate data (GrB_Matrix_build); duplicates combined
   /// with `dup`. Input order is irrelevant.
@@ -127,19 +105,13 @@ class Matrix {
   }
 
   /// Grows or shrinks the logical dimensions (GxB_Matrix_resize). Growing
-  /// is O(new rows); shrinking compacts away out-of-range entries. The
-  /// change-set loop grows every state matrix once per update, so rowptr
-  /// regrowth that outruns its capacity swaps through the workspace arena
-  /// instead of freeing pool-origin storage behind the allocator's back.
+  /// is O(new rows); shrinking compacts away out-of-range entries.
   void resize(Index nrows, Index ncols) {
     if (ncols < ncols_ && nvals() > 0) {
       // Drop entries in removed columns.
       Index write = 0;
-      auto new_rowptr_lease =
-          detail::workspace().lease<Index>(std::min<Index>(nrows, nrows_) + 1);
-      auto& new_rowptr = *new_rowptr_lease;
-      new_rowptr.assign(std::min<Index>(nrows, nrows_) + 1, 0);
       const Index keep_rows = std::min<Index>(nrows, nrows_);
+      std::vector<Index> new_rowptr(keep_rows + 1, 0);
       for (Index i = 0; i < keep_rows; ++i) {
         for (Index k = rowptr_[i]; k < rowptr_[i + 1]; ++k) {
           if (colind_[k] < ncols) {
@@ -152,8 +124,7 @@ class Matrix {
       }
       colind_.resize(write);
       val_.resize(write);
-      detail::workspace().donate(std::move(rowptr_));
-      rowptr_ = new_rowptr_lease.detach();
+      rowptr_ = std::move(new_rowptr);
       nrows_ = keep_rows;
     } else if (nrows < nrows_) {
       const Index cut = rowptr_[nrows];
@@ -163,18 +134,6 @@ class Matrix {
       nrows_ = nrows;
     }
     if (nrows > nrows_) {
-      if (rowptr_.capacity() < static_cast<std::size_t>(nrows) + 1) {
-        auto grown = detail::workspace().lease<Index>(nrows + 1);
-        grown->assign(rowptr_.begin(), rowptr_.end());
-        // Fill to the full target size before detaching: a detach whose
-        // contents sit far below the leased capacity would be trimmed
-        // (shrink-on-detach), defeating this pool-backed regrowth. The
-        // resize below then keeps the capacity, and the tail loop
-        // overwrites the fill either way.
-        grown->resize(nrows + 1, grown->empty() ? 0 : grown->back());
-        detail::workspace().donate(std::move(rowptr_));
-        rowptr_ = grown.detach();
-      }
       rowptr_.resize(nrows + 1, rowptr_.empty() ? 0 : rowptr_.back());
       // rowptr_ may have been default-initialised above; ensure tail filled.
       for (Index i = nrows_ + 1; i <= nrows; ++i) rowptr_[i] = nvals();
@@ -225,13 +184,9 @@ class Matrix {
       }
     }
     sort_tuples(tuples);
-    // Combine duplicates inside the batch first. Staging and the merged
-    // arrays lease from the workspace: the change-set application loop runs
-    // this once per matrix per update, and the retired arrays donated below
-    // keep its steady state allocation-free.
-    auto& ws = detail::workspace();
-    auto batch_lease = ws.lease<Tuple<T>>(tuples.size());
-    auto& batch = *batch_lease;
+    // Combine duplicates inside the batch first.
+    std::vector<Tuple<T>> batch;
+    batch.reserve(tuples.size());
     for (auto& t : tuples) {
       if (!batch.empty() && batch.back().row == t.row &&
           batch.back().col == t.col) {
@@ -241,13 +196,11 @@ class Matrix {
       }
     }
     // Merge old CSR with the sorted batch.
-    auto new_rowptr_lease = ws.lease<Index>(nrows_ + 1);
-    auto new_colind_lease = ws.lease<Index>(colind_.size() + batch.size());
-    auto new_val_lease = ws.lease<T>(val_.size() + batch.size());
-    auto& new_rowptr = *new_rowptr_lease;
-    auto& new_colind = *new_colind_lease;
-    auto& new_val = *new_val_lease;
-    new_rowptr.assign(nrows_ + 1, 0);
+    std::vector<Index> new_rowptr(nrows_ + 1, 0);
+    std::vector<Index> new_colind;
+    std::vector<T> new_val;
+    new_colind.reserve(colind_.size() + batch.size());
+    new_val.reserve(val_.size() + batch.size());
     std::size_t b = 0;
     for (Index i = 0; i < nrows_; ++i) {
       Index k = rowptr_[i];
@@ -273,12 +226,9 @@ class Matrix {
       }
       new_rowptr[i + 1] = static_cast<Index>(new_colind.size());
     }
-    ws.donate(std::move(rowptr_));
-    ws.donate(std::move(colind_));
-    ws.donate(std::move(val_));
-    rowptr_ = new_rowptr_lease.detach();
-    colind_ = new_colind_lease.detach();
-    val_ = new_val_lease.detach();
+    rowptr_ = std::move(new_rowptr);
+    colind_ = std::move(new_colind);
+    val_ = std::move(new_val);
   }
 
   /// Removes a batch of positions in one merge pass (the removal analogue
@@ -296,14 +246,11 @@ class Matrix {
       std::sort(pos.begin(), pos.end());
     }
     pos.erase(std::unique(pos.begin(), pos.end()), pos.end());
-    auto& ws = detail::workspace();
-    auto new_rowptr_lease = ws.lease<Index>(nrows_ + 1);
-    auto new_colind_lease = ws.lease<Index>(colind_.size());
-    auto new_val_lease = ws.lease<T>(val_.size());
-    auto& new_rowptr = *new_rowptr_lease;
-    auto& new_colind = *new_colind_lease;
-    auto& new_val = *new_val_lease;
-    new_rowptr.assign(nrows_ + 1, 0);
+    std::vector<Index> new_rowptr(nrows_ + 1, 0);
+    std::vector<Index> new_colind;
+    std::vector<T> new_val;
+    new_colind.reserve(colind_.size());
+    new_val.reserve(val_.size());
     std::size_t b = 0;
     std::size_t removed = 0;
     for (Index i = 0; i < nrows_; ++i) {
@@ -324,12 +271,9 @@ class Matrix {
       }
       new_rowptr[i + 1] = static_cast<Index>(new_colind.size());
     }
-    ws.donate(std::move(rowptr_));
-    ws.donate(std::move(colind_));
-    ws.donate(std::move(val_));
-    rowptr_ = new_rowptr_lease.detach();
-    colind_ = new_colind_lease.detach();
-    val_ = new_val_lease.detach();
+    rowptr_ = std::move(new_rowptr);
+    colind_ = std::move(new_colind);
+    val_ = std::move(new_val);
     return removed;
   }
 
@@ -399,29 +343,6 @@ class Matrix {
     return m;
   }
 
-  /// Releases the CSR arrays for capacity reuse, leaving *this empty (0×0,
-  /// no entries — the default-constructed state). The usual consumer is
-  /// grb::recycle, which donates the arrays to the Context workspace so the
-  /// next kernel output steals their capacity instead of allocating.
-  [[nodiscard]] CsrStorage<T> release_storage() noexcept {
-    CsrStorage<T> st{std::move(rowptr_), std::move(colind_), std::move(val_)};
-    nrows_ = 0;
-    ncols_ = 0;
-    rows_pending_ = 0;
-    rowptr_.clear();
-    colind_.clear();
-    val_.clear();
-    return st;
-  }
-
-  /// Rebuilds a matrix around previously released (or otherwise assembled)
-  /// CSR arrays — the inverse of release_storage.
-  static Matrix adopt_storage(Index nrows, Index ncols, CsrStorage<T>&& st,
-                              CsrCheck check = CsrCheck::kDebug) {
-    return adopt_csr(nrows, ncols, std::move(st.rowptr), std::move(st.colind),
-                     std::move(st.val), check);
-  }
-
   void check_invariants() const {
     detail::check(rowptr_.size() == nrows_ + 1, "rowptr size");
     detail::check(rowptr_.front() == 0, "rowptr[0]");
@@ -468,17 +389,12 @@ class Matrix {
   std::vector<T> val_;
 };
 
-/// Retires a matrix, donating its storage to the Context workspace. Hot
-/// loops call this on iteration-carried temporaries (and write_back calls it
-/// on replaced outputs) so kernel results cycle through the arena instead of
-/// round-tripping the system allocator.
+/// Destroys its argument; nothing else. Kept only because the benchmark
+/// harness (ttc_bench/inprocess.cpp) still calls it; delete both sinks
+/// together with those calls.
 template <typename T>
 void recycle(Matrix<T>&& m) {
-  auto st = m.release_storage();
-  auto& ws = detail::workspace();
-  ws.donate(std::move(st.rowptr));
-  ws.donate(std::move(st.colind));
-  ws.donate(std::move(st.val));
+  Matrix<T> gone(std::move(m));
 }
 
 }  // namespace grb

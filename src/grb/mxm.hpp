@@ -10,7 +10,6 @@
 
 #include "grb/detail/csr_builder.hpp"
 #include "grb/detail/parallel.hpp"
-#include "grb/detail/workspace.hpp"
 #include "grb/detail/write_back.hpp"
 #include "grb/matrix.hpp"
 #include "grb/semiring.hpp"
@@ -23,54 +22,42 @@ namespace detail {
 
 /// Sparse accumulator: dense value + stamp arrays with an occupied list.
 /// Reused across rows by bumping the stamp (no O(ncols) clear per row).
-/// All three arrays lease from the Context workspace — a Spa constructed
-/// per thread inside a parallel region draws from that thread's warm shard,
-/// so repeated mxm calls pay no O(ncols) allocation.
 template <typename W>
 class Spa {
  public:
-  explicit Spa(Index n)
-      : val_(workspace().lease<W>(n)),
-        stamp_(workspace().lease<std::uint64_t>(n)),
-        occupied_(workspace().lease<Index>(n)) {
-    val_->resize(n);
-    stamp_->assign(n, 0);
-  }
+  explicit Spa(Index n) : val_(n), stamp_(n, 0) { occupied_.reserve(n); }
 
   void new_row() noexcept {
     ++generation_;
-    occupied_->clear();
+    occupied_.clear();
   }
 
   template <typename AddOp>
   void accumulate(Index j, const W& v, const AddOp& add) {
-    auto& val = *val_;
-    auto& stamp = *stamp_;
-    if (stamp[j] == generation_) {
-      val[j] = static_cast<W>(add(val[j], v));
+    if (stamp_[j] == generation_) {
+      val_[j] = static_cast<W>(add(val_[j], v));
     } else {
-      stamp[j] = generation_;
-      val[j] = v;
-      occupied_->push_back(j);
+      stamp_[j] = generation_;
+      val_[j] = v;
+      occupied_.push_back(j);
     }
   }
 
   /// Emits the row's entries sorted by column.
   template <typename Emit>
   void emit_sorted(Emit&& emit) {
-    auto& occupied = *occupied_;
-    std::sort(occupied.begin(), occupied.end());
-    for (const Index j : occupied) {
-      emit(j, (*val_)[j]);
+    std::sort(occupied_.begin(), occupied_.end());
+    for (const Index j : occupied_) {
+      emit(j, val_[j]);
     }
   }
 
-  [[nodiscard]] std::size_t nnz() const noexcept { return occupied_->size(); }
+  [[nodiscard]] std::size_t nnz() const noexcept { return occupied_.size(); }
 
  private:
-  Lease<W> val_;
-  Lease<std::uint64_t> stamp_;
-  Lease<Index> occupied_;
+  std::vector<W> val_;
+  std::vector<std::uint64_t> stamp_;
+  std::vector<Index> occupied_;
   std::uint64_t generation_ = 0;
 };
 
@@ -121,9 +108,7 @@ Matrix<W> mxm_compute(const SR& sr, const Matrix<A>& a, const Matrix<B>& b) {
   // Symbolic pass: each output row's pattern size via a value-free SPA —
   // just the generation-stamp array, no values, no occupied list, no sort.
   parallel_region([&](int tid, int nthreads) {
-    auto stamp_lease = workspace().lease<std::uint64_t>(b.ncols());
-    auto& stamp = *stamp_lease;
-    stamp.assign(b.ncols(), 0);
+    std::vector<std::uint64_t> stamp(b.ncols(), 0);
     std::uint64_t generation = 0;
     for (Index i = static_cast<Index>(tid); i < nrows;
          i += static_cast<Index>(nthreads)) {

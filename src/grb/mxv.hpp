@@ -23,7 +23,6 @@
 
 #include "grb/detail/parallel.hpp"
 #include "grb/detail/sparse_builder.hpp"
-#include "grb/detail/workspace.hpp"
 #include "grb/detail/write_back.hpp"
 #include "grb/matrix.hpp"
 #include "grb/semiring.hpp"
@@ -49,14 +48,9 @@ Vector<W> mxv_compute(const SR& sr, const Matrix<A>& a, const Vector<U>& u) {
   }
   const auto ui = u.indices();
   const auto uv = u.values();
-  // Dense per-row accumulators leased from the Context workspace: repeated
-  // pulls (FastSV, pagerank-style loops) reuse warm buffers.
-  auto acc_lease = detail::workspace().lease<W>(a.nrows());
-  auto hit_lease = detail::workspace().lease<unsigned char>(a.nrows());
-  auto& acc = *acc_lease;
-  auto& hit = *hit_lease;
-  acc.resize(a.nrows());
-  hit.assign(a.nrows(), 0);
+  // Dense per-row accumulators.
+  std::vector<W> acc(a.nrows());
+  std::vector<unsigned char> hit(a.nrows(), 0);
   // Per-row dot product; `lookup(j)` yields u(j)'s value position or -1.
   const auto pull_rows = [&](auto&& lookup) {
     parallel_for(
@@ -84,9 +78,7 @@ Vector<W> mxv_compute(const SR& sr, const Matrix<A>& a, const Vector<U>& u) {
   };
   if (u.nvals() * kMxvDenseCutoff >= a.ncols()) {
     // Dense pull: scatter u into (position, present) scratch once.
-    auto upos_lease = detail::workspace().lease<std::ptrdiff_t>(a.ncols());
-    auto& upos = *upos_lease;
-    upos.assign(a.ncols(), -1);
+    std::vector<std::ptrdiff_t> upos(a.ncols(), -1);
     parallel_for(static_cast<Index>(ui.size()), [&](Index k) {
       upos[ui[k]] = static_cast<std::ptrdiff_t>(k);
     });

@@ -16,7 +16,6 @@
 
 #include "grb/detail/csr_builder.hpp"
 #include "grb/detail/parallel.hpp"
-#include "grb/detail/workspace.hpp"
 #include "grb/detail/write_back.hpp"
 #include "grb/matrix.hpp"
 #include "grb/types.hpp"
@@ -43,9 +42,7 @@ Matrix<U> transpose_compute(const Matrix<U>& a) {
     builder.finish_symbolic();
     const auto colind = builder.all_cols();
     const auto val = builder.all_vals();
-    auto cursor_lease = workspace().lease<Index>(nr);
-    auto& cursor = *cursor_lease;
-    cursor.resize(nr);
+    std::vector<Index> cursor(nr);
     for (Index j = 0; j < nr; ++j) cursor[j] = builder.row_offset(j);
     for (Index i = 0; i < nc; ++i) {
       const auto cols = a.row_cols(i);
@@ -69,11 +66,10 @@ Matrix<U> transpose_compute(const Matrix<U>& a) {
     const Index lo = std::min<Index>(nc, chunk * static_cast<Index>(t));
     return std::pair<Index, Index>{lo, std::min<Index>(nc, lo + chunk)};
   };
-  auto block = workspace().lease_team<Index>(
-      static_cast<std::size_t>(nblocks), nr);
+  auto block = team_buffers<Index>(static_cast<std::size_t>(nblocks), nr);
   parallel_region([&](int tid, int nt) {
     for (int t = tid; t < nblocks; t += nt) {
-      auto& hist = block.buf(static_cast<std::size_t>(t));
+      auto& hist = block[static_cast<std::size_t>(t)];
       hist.assign(nr, 0);
       const auto [lo, hi] = block_range(t);
       for (Index i = lo; i < hi; ++i) {
@@ -84,7 +80,7 @@ Matrix<U> transpose_compute(const Matrix<U>& a) {
   parallel_for(
       nr, [&](Index j) {
         Index sum = 0;
-        for (std::size_t t = 0; t < block.size(); ++t) sum += block.buf(t)[j];
+        for (std::size_t t = 0; t < block.size(); ++t) sum += block[t][j];
         counts[j] = sum;
       },
       nnz);
@@ -95,7 +91,7 @@ Matrix<U> transpose_compute(const Matrix<U>& a) {
       nr, [&](Index j) {
         Index next = builder.row_offset(j);
         for (std::size_t t = 0; t < block.size(); ++t) {
-          auto& hist = block.buf(t);
+          auto& hist = block[t];
           const Index mine = hist[j];
           hist[j] = next;
           next += mine;
@@ -106,7 +102,7 @@ Matrix<U> transpose_compute(const Matrix<U>& a) {
   const auto val = builder.all_vals();
   parallel_region([&](int tid, int nt) {
     for (int t = tid; t < nblocks; t += nt) {
-      auto& cursor = block.buf(static_cast<std::size_t>(t));
+      auto& cursor = block[static_cast<std::size_t>(t)];
       const auto [lo, hi] = block_range(t);
       for (Index i = lo; i < hi; ++i) {
         const auto cols = a.row_cols(i);

@@ -14,18 +14,9 @@
 
 #include "grb/binary_ops.hpp"
 #include "grb/detail/parallel.hpp"
-#include "grb/detail/workspace.hpp"
 #include "grb/types.hpp"
 
 namespace grb {
-
-/// A vector's raw coordinate arrays, released for capacity reuse
-/// (Vector::release_storage / Vector::adopt_storage).
-template <typename T>
-struct VecStorage {
-  std::vector<Index> ind;
-  std::vector<T> val;
-};
 
 template <typename T>
 class Vector {
@@ -82,23 +73,16 @@ class Vector {
 
   /// Dense iota-style constructor used by FastSV: v(i) = f(i) for all i.
   /// FastSV rebuilds the grandparent vector every iteration, so the fill
-  /// runs in parallel and the arrays lease from the Context workspace
-  /// (recycling the previous iterate's capacity via grb::recycle).
+  /// runs in parallel.
   template <typename F>
   static Vector dense(Index n, F&& f) {
     Vector v(n);
-    auto ind_lease = detail::workspace().lease<Index>(n);
-    auto val_lease = detail::workspace().lease<T>(n);
-    ind_lease->resize(n);
-    val_lease->resize(n);
-    auto& ind = *ind_lease;
-    auto& val = *val_lease;
+    v.ind_.resize(n);
+    v.val_.resize(n);
     detail::parallel_for(n, [&](Index i) {
-      ind[i] = i;
-      val[i] = f(i);
+      v.ind_[i] = i;
+      v.val_[i] = f(i);
     });
-    v.ind_ = ind_lease.detach();
-    v.val_ = val_lease.detach();
     return v;
   }
 
@@ -233,23 +217,6 @@ class Vector {
     return v;
   }
 
-  /// Releases the coordinate arrays for capacity reuse, keeping the logical
-  /// size but dropping all entries. grb::recycle consumes this to donate
-  /// retired storage to the Context workspace.
-  [[nodiscard]] VecStorage<T> release_storage() noexcept {
-    VecStorage<T> st{std::move(ind_), std::move(val_)};
-    ind_.clear();
-    val_.clear();
-    return st;
-  }
-
-  /// Rebuilds a vector around previously released (or otherwise assembled)
-  /// sorted coordinate arrays — the inverse of release_storage.
-  static Vector adopt_storage(Index n, VecStorage<T>&& st,
-                              CsrCheck check = CsrCheck::kDebug) {
-    return adopt_sorted(n, std::move(st.ind), std::move(st.val), check);
-  }
-
   void check_invariants() const {
     detail::check(ind_.size() == val_.size(), "index/value size");
     for (std::size_t k = 0; k < ind_.size(); ++k) {
@@ -271,14 +238,11 @@ class Vector {
   std::vector<T> val_;      // val_[k] belongs to ind_[k]
 };
 
-/// Retires a vector, donating its storage to the Context workspace (the
-/// Vector counterpart of recycle(Matrix&&)).
+/// Destroys its argument; nothing else. Kept only because the benchmark
+/// harness (ttc_bench/inprocess.cpp) still calls it, like recycle(Matrix&&).
 template <typename T>
 void recycle(Vector<T>&& v) {
-  auto st = v.release_storage();
-  auto& ws = detail::workspace();
-  ws.donate(std::move(st.ind));
-  ws.donate(std::move(st.val));
+  Vector<T> gone(std::move(v));
 }
 
 }  // namespace grb

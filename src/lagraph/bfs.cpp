@@ -3,7 +3,6 @@
 #include <cstdint>
 
 #include "grb/detail/parallel.hpp"
-#include "grb/detail/workspace.hpp"
 #include "grb/transpose.hpp"
 
 namespace lagraph {
@@ -45,8 +44,7 @@ std::vector<Index> bfs_levels(const grb::Matrix<Bool>& adj, Index source) {
   not_visited.replace = true;
 
   // The pull kernel needs the transposed adjacency (successors live in Aᵀ's
-  // rows); it is built lazily on the first pull level and recycled into the
-  // workspace when the traversal ends.
+  // rows); it is built lazily on the first pull level.
   grb::Matrix<Bool> adj_t;
   bool have_adj_t = false;
   bool pulling = false;
@@ -80,10 +78,7 @@ std::vector<Index> bfs_levels(const grb::Matrix<Bool>& adj, Index source) {
     } else {
       grb::vxm(next, &visited, grb::NoAccum{}, sr, frontier, adj, not_visited);
     }
-    if (next.nvals() == 0) {
-      grb::recycle(std::move(next));
-      break;
-    }
+    if (next.nvals() == 0) break;
     const auto ni = next.indices();
     grb::detail::parallel_for(static_cast<Index>(ni.size()),
                               [&](Index k) { level[ni[k]] = depth; });
@@ -92,12 +87,8 @@ std::vector<Index> bfs_levels(const grb::Matrix<Bool>& adj, Index source) {
     }
     // visited |= next
     grb::eWiseAdd(visited, grb::LOr<Bool>{}, visited, next);
-    grb::recycle(std::move(frontier));
     frontier = std::move(next);
   }
-  if (have_adj_t) grb::recycle(std::move(adj_t));
-  grb::recycle(std::move(visited));
-  grb::recycle(std::move(frontier));
   return level;
 }
 

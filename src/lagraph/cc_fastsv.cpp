@@ -3,7 +3,6 @@
 #include <unordered_map>
 
 #include "grb/detail/parallel.hpp"
-#include "grb/detail/workspace.hpp"
 
 namespace lagraph {
 
@@ -14,13 +13,8 @@ std::vector<Index> cc_fastsv(const grb::Matrix<grb::Bool>& adj) {
     throw grb::DimensionMismatch("cc_fastsv: adjacency must be square");
   }
   const Index n = adj.nrows();
-  std::vector<Index> f(n);  // parent (the result, so not arena-backed)
-  // Grandparent scratch leases from the workspace: Q2 runs FastSV once per
-  // affected comment, and the warm per-thread shard serves every call after
-  // the first for free.
-  auto gf_lease = grb::detail::workspace().lease<Index>(n);
-  auto& gf = *gf_lease;
-  gf.resize(n);
+  std::vector<Index> f(n);   // parent (the result)
+  std::vector<Index> gf(n);  // grandparent
   for (Index i = 0; i < n; ++i) {
     f[i] = i;
     gf[i] = i;
@@ -35,9 +29,6 @@ std::vector<Index> cc_fastsv(const grb::Matrix<grb::Bool>& adj) {
     // mngf(i) = min_{j : A(i,j) present} gf(j)   (LAGraph: GrB_mxv)
     auto gf_vec = grb::Vector<Index>::dense(n, [&](Index i) { return gf[i]; });
     grb::mxv(mngf, sr, adj, gf_vec);
-    // The iterate's storage goes back to the arena; the next iteration's
-    // dense() rebuild (and the next FastSV call) leases it straight back.
-    grb::recycle(std::move(gf_vec));
 
     const auto mi = mngf.indices();
     const auto mv = mngf.values();
@@ -92,7 +83,6 @@ std::vector<Index> cc_fastsv(const grb::Matrix<grb::Bool>& adj) {
         },
         [](int x, int y) { return x | y; }) != 0;
   }
-  grb::recycle(std::move(mngf));
   return f;
 }
 

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "grb/detail/parallel.hpp"
-#include "grb/detail/workspace.hpp"
 #include "grb/transpose.hpp"
 
 namespace lagraph {
@@ -21,11 +20,7 @@ PageRankResult pagerank(const grb::Matrix<Bool>& adj,
   if (n == 0) return result;
 
   // Out-degrees and the pull-direction matrix (Aᵀ: incoming edges per row).
-  // Dense iteration state leases from the workspace so repeated pagerank
-  // calls (and the transposed adjacency, recycled below) reuse capacity.
-  auto inv_outdeg_lease = grb::detail::workspace().lease<double>(n);
-  auto& inv_outdeg = *inv_outdeg_lease;
-  inv_outdeg.assign(n, 0.0);
+  std::vector<double> inv_outdeg(n, 0.0);
   for (Index i = 0; i < n; ++i) {
     const auto deg = adj.row_degree(i);
     if (deg > 0) inv_outdeg[i] = 1.0 / static_cast<double>(deg);
@@ -34,12 +29,8 @@ PageRankResult pagerank(const grb::Matrix<Bool>& adj,
 
   const double d = options.damping;
   const double base = (1.0 - d) / static_cast<double>(n);
-  auto r_lease = grb::detail::workspace().lease<double>(n);
-  auto next_lease = grb::detail::workspace().lease<double>(n);
-  auto& r = *r_lease;
-  auto& next = *next_lease;
-  r.assign(n, 1.0 / static_cast<double>(n));
-  next.resize(n);
+  std::vector<double> r(n, 1.0 / static_cast<double>(n));
+  std::vector<double> next(n);
 
   for (result.iterations = 1; result.iterations <= options.max_iterations;
        ++result.iterations) {
@@ -82,9 +73,6 @@ PageRankResult pagerank(const grb::Matrix<Bool>& adj,
     r.swap(next);
     if (delta < options.tolerance) break;
   }
-  grb::recycle(std::move(at));
-  // Moves the converged iterate out of its lease (the emptied buffer is
-  // dropped, not donated); `next` returns to the pool via its lease.
   result.rank = std::move(r);
   return result;
 }

@@ -43,8 +43,7 @@ std::string GrbBatchEngine::evaluate() {
 std::string GrbBatchEngine::initial() { return evaluate(); }
 
 std::string GrbBatchEngine::update(const sm::ChangeSet& cs) {
-  state_.apply_change_set(cs);  // batch: delta discarded (and recycled by
-                                // its destructor), full recompute
+  state_.apply_change_set(cs);  // batch: delta discarded, full recompute
   return evaluate();
 }
 
@@ -107,7 +106,6 @@ std::string GrbIncrementalEngine::update(const sm::ChangeSet& cs) {
     top_.note_newborn(0, i, ranked_of(i, value_of(i)));
   }
   top_.finish(removals, scan());
-  grb::recycle(std::move(changed));
   return top_.answer();
 }
 

@@ -41,10 +41,6 @@ class GrbBatchEngine final : public harness::Engine {
 class GrbIncrementalEngine final : public harness::Engine {
  public:
   explicit GrbIncrementalEngine(harness::Query q) : query_(q) {}
-  /// The maintained score vector's storage came from the workspace arena
-  /// (kernel outputs); hand it back when the engine retires so repeated
-  /// runs (benchmark repeats, the CI smoke warm-up) stay allocation-free.
-  ~GrbIncrementalEngine() override { grb::recycle(std::move(scores_)); }
 
   [[nodiscard]] std::string name() const override {
     return "GraphBLAS Incremental";

@@ -66,50 +66,10 @@ struct GrbDelta {
   [[nodiscard]] bool has_removals() const noexcept {
     return !removed_likes.empty() || !removed_friendships.empty();
   }
-
-  GrbDelta() = default;
-  GrbDelta(const GrbDelta&) = default;
-  GrbDelta& operator=(const GrbDelta&) = default;
-  GrbDelta(GrbDelta&&) = default;
-  GrbDelta& operator=(GrbDelta&&) = default;
-  /// A retiring delta donates its matrix/vector storage to the workspace
-  /// arena (every engine consumes one delta per update, and this drain
-  /// would otherwise keep the Fig. 5 loop allocating). Runs on every exit
-  /// path, so engines need no hand-threaded cleanup.
-  ~GrbDelta() { recycle_storage(); }
-
-  /// Donates the delta's matrix/vector storage to the arena, leaving the
-  /// containers empty.
-  void recycle_storage() {
-    grb::recycle(std::move(delta_root_post));
-    grb::recycle(std::move(likes_count_plus));
-    grb::recycle(std::move(likes_count_minus));
-    grb::recycle(std::move(new_friends));
-    grb::recycle(std::move(removed_friends));
-  }
 };
 
 class GrbState {
  public:
-  GrbState() = default;
-  GrbState(const GrbState&) = default;
-  GrbState& operator=(const GrbState&) = default;
-  GrbState(GrbState&&) = default;
-  GrbState& operator=(GrbState&&) = default;
-  /// Retiring a state donates its matrix storage to the workspace arena, so
-  /// back-to-back engine runs (benchmark repeats, the CI smoke's warm-up
-  /// pass) hand their largest buffers to the next run instead of freeing
-  /// them.
-  ~GrbState() { recycle_storage(); }
-
-  /// Donates the matrices' storage to the arena, leaving them empty.
-  void recycle_storage() {
-    grb::recycle(std::move(root_post_));
-    grb::recycle(std::move(likes_));
-    grb::recycle(std::move(friends_));
-    grb::recycle(std::move(likes_count_));
-  }
-
   /// Builds the matrices from an initial graph (the "load" phase).
   static GrbState from_graph(const sm::SocialGraph& g);
 

@@ -25,12 +25,6 @@ grb::Vector<U64> q1_batch_scores(const GrbState& state) {
   // Line 9: scores ← repliesScores ⊕ likesScore.
   grb::Vector<U64> scores(np);
   grb::eWiseAdd(scores, grb::Plus<U64>{}, replies_scores, likes_score);
-
-  // Retire the per-call intermediates into the workspace so the Fig. 5 loop
-  // (batch recompute once per change set) runs on recycled capacity.
-  grb::recycle(std::move(sum));
-  grb::recycle(std::move(replies_scores));
-  grb::recycle(std::move(likes_score));
   return scores;
 }
 
@@ -83,16 +77,6 @@ grb::Vector<U64> q1_incremental_update(const GrbState& state,
   structural.structural_mask = true;
   grb::assign(delta_scores, &changed_mask, grb::NoAccum{}, scores,
               structural);
-
-  // Retire the per-update intermediates: this function runs once per change
-  // set on the paper's hot path, and recycling here is what keeps the
-  // steady-state workspace miss count at zero.
-  grb::recycle(std::move(sum));
-  grb::recycle(std::move(replies_plus));
-  grb::recycle(std::move(likes_plus));
-  grb::recycle(std::move(score_plus));
-  grb::recycle(std::move(score_minus));
-  grb::recycle(std::move(changed_mask));
   return delta_scores;
 }
 

@@ -19,19 +19,13 @@ U64 q2_comment_score(const GrbState& state, Index comment) {
   auto sub = grb::extract_submatrix(state.friends(), likers, likers);
   // Step 3: connected components via FastSV (LAGraph).
   const auto labels = lagraph::cc_fastsv(sub);
-  // This runs once per (affected) comment, from whichever OpenMP thread the
-  // comment landed on; recycling into the thread's workspace shard lets the
-  // next comment on that thread reuse the submatrix storage.
-  grb::recycle(std::move(sub));
   // Step 4: Σ (component size)².
   return lagraph::sum_squared_component_sizes(labels);
 }
 
 grb::Vector<U64> q2_batch_scores(const GrbState& state) {
   const Index nc = state.num_comments();
-  auto scores_lease = grb::detail::workspace().lease<U64>(nc);
-  auto& scores = *scores_lease;
-  scores.assign(nc, 0);
+  std::vector<U64> scores(nc, 0);
   // OpenMP parallelism at comment granularity (paper, Sec. IV). The helper
   // respects grb::set_threads, which the harness uses to pin 1 vs 8 threads.
   grb::detail::parallel_for(
@@ -60,8 +54,6 @@ std::vector<Index> q2_affected_comments(const GrbState& state,
     grb::reduce_rows(ac_vec, grb::lor_monoid<U64>(), ac);
     affected.insert(affected.end(), ac_vec.indices().begin(),
                     ac_vec.indices().end());
-    grb::recycle(std::move(ac));
-    grb::recycle(std::move(ac_vec));
   };
   incidence_hits(delta.new_friends);
   // Removal extension: a removed friendship affects comments both ex-friends
@@ -107,7 +99,6 @@ std::vector<Index> q2_affected_comments_coarse(const GrbState& state,
     mark_user(a);
     mark_user(b);
   }
-  grb::recycle(std::move(likes_t));
   std::sort(affected.begin(), affected.end());
   affected.erase(std::unique(affected.begin(), affected.end()),
                  affected.end());

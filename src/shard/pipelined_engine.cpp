@@ -33,12 +33,8 @@ GrbPipelinedEngine::GrbPipelinedEngine(harness::Query q, Mode mode,
 
 GrbPipelinedEngine::~GrbPipelinedEngine() {
   // Join the workers before any state they touch (scores_, ring_, this)
-  // goes away, then hand the arena its storage back on this thread.
+  // goes away.
   state_.end_pipeline();
-  for (auto& v : scores_) grb::recycle(std::move(v));
-  for (auto& slot : ring_) {
-    for (auto& r : slot.reports) grb::recycle(std::move(r.batch_scores));
-  }
 }
 
 std::string GrbPipelinedEngine::name() const {
@@ -104,7 +100,6 @@ std::string GrbPipelinedEngine::initial() {
   }
 
   if (mode_ == Mode::kIncremental) {
-    for (auto& v : scores_) grb::recycle(std::move(v));
     scores_ = std::move(scores);
     for (std::size_t s = 0; s < n; ++s) {
       mirror_[s].assign(query_ == harness::Query::kQ1
@@ -151,7 +146,6 @@ std::string GrbPipelinedEngine::initial() {
       }
     }
   }
-  for (auto& v : scores) grb::recycle(std::move(v));
   return top.answer();
 }
 
@@ -166,9 +160,7 @@ void GrbPipelinedEngine::ensure_pipeline() {
         // Shard worker, epoch e: reevaluate this shard and publish the
         // immutable report the merge thread will fold in under the
         // publication barrier. Everything the merge needs is copied out
-        // here, while this worker owns the shard's state at epoch e; the
-        // delta (and the changed-entries vector) retire into this worker's
-        // arena before the epoch is marked retired.
+        // here, while this worker owns the shard's state at epoch e.
         ShardReport& r = ring_[e % depth_].reports[s];
         r.changed.clear();
         r.new_comment_meta.clear();
@@ -197,9 +189,7 @@ void GrbPipelinedEngine::ensure_pipeline() {
           for (std::size_t k = 0; k < idx.size(); ++k) {
             r.changed.emplace_back(idx[k], val[k]);
           }
-          grb::recycle(std::move(changed));
         } else {
-          grb::recycle(std::move(r.batch_scores));
           r.batch_scores = query_ == harness::Query::kQ1
                                ? queries::q1_batch_scores(st)
                                : queries::q2_batch_scores(st);
@@ -365,9 +355,6 @@ std::string GrbPipelinedEngine::merge_next() {
                                    comment_ts_[s][c]});
         }
       }
-    }
-    for (std::size_t s = 0; s < n; ++s) {
-      grb::recycle(std::move(slot.reports[s].batch_scores));
     }
     answer = top.answer();
   }

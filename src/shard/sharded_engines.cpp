@@ -89,11 +89,6 @@ std::vector<grb::Vector<U64>> batch_scores(harness::Query q,
   return scores;
 }
 
-void recycle_all(std::vector<grb::Vector<U64>>& scores) {
-  for (auto& v : scores) grb::recycle(std::move(v));
-  scores.clear();
-}
-
 }  // namespace
 
 // --- GrbShardedBatchEngine ---------------------------------------------------
@@ -104,24 +99,19 @@ std::string GrbShardedBatchEngine::evaluate() {
   auto scores = batch_scores(query_, state_);
   TopK top = query_ == harness::Query::kQ1 ? merged_q1_scan(state_, scores)
                                            : merged_q2_scan(state_, scores);
-  recycle_all(scores);
   return top.answer();
 }
 
 std::string GrbShardedBatchEngine::initial() { return evaluate(); }
 
 std::string GrbShardedBatchEngine::update(const sm::ChangeSet& cs) {
-  // Batch semantics: apply (the per-shard deltas are discarded — their
-  // destructors recycle the storage) and fully reevaluate.
+  // Batch semantics: apply (the per-shard deltas are discarded) and fully
+  // reevaluate.
   (void)state_.apply_change_set(cs);
   return evaluate();
 }
 
 // --- GrbShardedIncrementalEngine ---------------------------------------------
-
-GrbShardedIncrementalEngine::~GrbShardedIncrementalEngine() {
-  recycle_all(scores_);
-}
 
 void GrbShardedIncrementalEngine::load(const sm::SocialGraph& g) {
   state_.load(g);
@@ -144,7 +134,6 @@ auto GrbShardedIncrementalEngine::scan() const {
 }
 
 std::string GrbShardedIncrementalEngine::initial() {
-  recycle_all(scores_);
   scores_ = batch_scores(query_, state_);
   // The initial merged walk doubles as the pruning-state build. Q1 ranks
   // merged totals over the replicated post space (one space); Q2 comments
@@ -223,7 +212,6 @@ std::string GrbShardedIncrementalEngine::update(const sm::ChangeSet& cs) {
     }
   }
   top_.finish(removals, scan());
-  recycle_all(changed);
   return top_.answer();
 }
 

@@ -62,10 +62,6 @@ class GrbShardedIncrementalEngine final : public harness::Engine {
       harness::Query q, std::size_t num_shards,
       Partitioner::Scheme scheme = Partitioner::Scheme::kHash)
       : query_(q), state_(num_shards, scheme) {}
-  /// The maintained per-shard score vectors' storage came from the arena;
-  /// hand it back when the engine retires (same contract as the unsharded
-  /// incremental engine).
-  ~GrbShardedIncrementalEngine() override;
 
   [[nodiscard]] std::string name() const override {
     return "GraphBLAS Sharded Incremental";

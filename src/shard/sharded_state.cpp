@@ -5,7 +5,6 @@
 
 #include "grb/detail/check.hpp"
 #include "grb/detail/parallel.hpp"
-#include "grb/detail/workspace.hpp"
 #include "support/telemetry/trace.hpp"
 
 namespace shard {
@@ -16,13 +15,10 @@ void ShardedGrbState::for_each_shard(
     const std::function<void(std::size_t)>& f) {
   // parallel_tasks owns the omp pragma (one worker per shard, dynamic
   // dispatch), the exception-collecting join, and the debug overlap claim
-  // per shard id; the stats-domain scope rides inside each task so every
-  // lease a shard's worker takes is attributed to that shard.
+  // per shard id.
   grb::detail::parallel_tasks(
-      static_cast<grb::Index>(num_shards()), [&](grb::Index s) {
-        grb::detail::ScopedStatsDomain domain(static_cast<int>(s));
-        f(static_cast<std::size_t>(s));
-      });
+      static_cast<grb::Index>(num_shards()),
+      [&](grb::Index s) { f(static_cast<std::size_t>(s)); });
 }
 
 void ShardedGrbState::load(const sm::SocialGraph& g) {
@@ -96,11 +92,9 @@ void ShardedGrbState::begin_pipeline(std::size_t depth, ShardStage stage) {
       [this, apply_all, apply_per_shard = std::move(apply_per_shard)](
           std::size_t s, std::uint64_t e) {
         // Worker thread for shard s, epoch e: apply this shard's piece of
-        // the routed set, then hand the delta to the stage — all with the
-        // shard's arena stats domain active so leases stay attributed.
+        // the routed set, then hand the delta to the stage.
         // GrbState::apply_change_set's own reentrancy guard still watches
         // the per-shard apply order.
-        grb::detail::ScopedStatsDomain domain(static_cast<int>(s));
         telemetry::SpanScope span("apply", e + 1, apply_per_shard[s],
                                   apply_all);
         const RoutedChangeSet& routed = ring_[e % ring_.size()];

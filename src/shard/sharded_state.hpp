@@ -1,8 +1,7 @@
 // ShardedGrbState: N independent per-shard GrbStates behind one
 // ChangeSetRouter. Loading splits the initial graph; applying a change set
 // routes it and applies every per-shard piece in parallel (one OpenMP
-// worker per shard, each attributing its arena leases to its shard's stats
-// domain). The per-shard states never communicate: comments (and their
+// worker per shard). The per-shard states never communicate: comments (and their
 // likes) are disjoint across shards, users/posts/friendships are replicated
 // with identical dense ids everywhere, so the engines above merge results
 // with plain sums (Q1) and a top-k union (Q2).
@@ -73,9 +72,8 @@ class ShardedGrbState {
   // --- Pipelined ingestion -------------------------------------------------
 
   /// Per-shard pipeline stage: runs on shard `shard`'s dedicated worker
-  /// thread (that shard's arena stats domain active) right after the shard
-  /// applied its piece of epoch `epoch`. The delta is handed over by value:
-  /// the stage owns it, and its storage is recycled on the worker thread.
+  /// thread right after the shard applied its piece of epoch `epoch`. The
+  /// delta is handed over by value: the stage owns it.
   using ShardStage = std::function<void(
       std::size_t shard, std::uint64_t epoch, queries::GrbDelta delta)>;
 
@@ -117,9 +115,8 @@ class ShardedGrbState {
   void end_pipeline();
 
   /// Runs f(shard_id) for every shard — in parallel when the thread budget
-  /// allows — with the shard's arena stats domain active. The engines run
-  /// their per-shard reevaluations through this so shard work is always
-  /// attributed. f must only touch shard-local state; exceptions are
+  /// allows. The engines run their per-shard reevaluations through this.
+  /// f must only touch shard-local state; exceptions are
   /// collected and the first one rethrown after the join.
   void for_each_shard(const std::function<void(std::size_t)>& f);
 

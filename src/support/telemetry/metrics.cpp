@@ -295,19 +295,9 @@ Histogram& Registry::histogram(const std::string& name) {
   return *entry_for(name, MetricKind::kHistogram).histogram;
 }
 
-Registry::BatchScope::BatchScope() {
-  Registry& r = instance();
-  r.batch_mu_.lock();
-  // Odd seq = batch in flight; acq_rel orders the bump before the batch's
-  // relaxed metric updates from the snapshot reader's point of view.
-  r.seq_.fetch_add(1, std::memory_order_acq_rel);
-}
+Registry::BatchScope::BatchScope() { instance().batch_mu_.lock(); }
 
-Registry::BatchScope::~BatchScope() {
-  Registry& r = instance();
-  r.seq_.fetch_add(1, std::memory_order_release);
-  r.batch_mu_.unlock();
-}
+Registry::BatchScope::~BatchScope() { instance().batch_mu_.unlock(); }
 
 std::uint64_t Registry::add_provider(Provider p) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -324,11 +314,11 @@ void Registry::remove_provider(std::uint64_t id) {
 RegistrySnapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   RegistrySnapshot s;
-  for (;;) {
-    const std::uint64_t s1 = seq_.load(std::memory_order_acquire);
-    if (s1 & 1) continue;  // a batch is mid-flight; spin until it lands
-    s.entries.clear();
-    s.entries.reserve(metrics_.size());
+  s.entries.reserve(metrics_.size());
+  {
+    // Lock order mu_ -> batch_mu_ (see the header): no batch is mid-flight
+    // while the values are read.
+    std::lock_guard<std::mutex> batch(batch_mu_);
     for (const auto& [name, e] : metrics_) {
       MetricValue v;
       v.kind = e.kind;
@@ -345,8 +335,6 @@ RegistrySnapshot Registry::snapshot() const {
       }
       s.entries.emplace_back(name, std::move(v));
     }
-    std::atomic_thread_fence(std::memory_order_acquire);
-    if (seq_.load(std::memory_order_relaxed) == s1) break;
   }
   for (const auto& [id, provider] : providers_) {
     provider(s.entries);

@@ -1,6 +1,6 @@
 // Process-wide metrics registry: named counters, gauges, and log-bucketed
 // latency histograms under stable dotted names ("prune.blocks_skipped",
-// "arena.shard3.hits", "epoch.merge_us", ...). This is the one sensor
+// "daemon.reads", "epoch.merge_us", ...). This is the one sensor
 // surface every subsystem reports through — the daemon's kMetrics frame, the
 // bench JSON breakdowns, and load_gen's server-side deltas all read the same
 // snapshot (see README "Architecture: observability").
@@ -15,9 +15,14 @@
 // Coherence: single-metric updates are independent, but some families carry
 // cross-counter invariants (prune counters promise scanned + skipped ==
 // total on the wire). Writers of such families wrap their updates in a
-// BatchScope, and snapshot() spins on a seqlock until it observes a batch-
-// quiescent registry — a snapshot can therefore never tear a batch, which is
+// BatchScope, which holds the batch mutex that snapshot() also takes for
+// its read loop — a snapshot can therefore never tear a batch, which is
 // what lets the daemon serve invariant-checked stats from live counters.
+//
+// Lock order: mu_ (registration, providers) before batch_mu_ (batches).
+// snapshot() takes them in that order, so code inside a BatchScope must not
+// register a metric: resolve the metric references first, then open the
+// batch and only add/set/record inside it.
 #pragma once
 
 #include <array>
@@ -202,9 +207,10 @@ class Registry {
   Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name);
 
-  /// Write-side seqlock section for multi-metric updates whose combination
-  /// must never be observed half-applied (see file comment). Batches from
-  /// different threads serialize on an internal mutex; keep them short.
+  /// Write-side section for multi-metric updates whose combination must
+  /// never be observed half-applied (see file comment). Batches from
+  /// different threads and snapshot()'s read loop serialize on one mutex;
+  /// keep batches short and never register a metric inside one.
   class BatchScope {
    public:
     BatchScope();
@@ -213,8 +219,8 @@ class Registry {
     BatchScope& operator=(const BatchScope&) = delete;
   };
 
-  /// Snapshot providers contribute computed entries (e.g. the arena's
-  /// per-domain stats) at snapshot time without owning registry metrics.
+  /// Snapshot providers contribute computed entries (e.g. the daemon's
+  /// queue gauges) at snapshot time without owning registry metrics.
   /// They run under the registry mutex — never call back into the registry
   /// from one. remove_provider() blocks until no snapshot is mid-call, so
   /// a provider may safely capture objects it outlives the registry with.
@@ -238,9 +244,8 @@ class Registry {
 
   Entry& entry_for(const std::string& name, MetricKind kind);
 
-  mutable std::mutex mu_;           ///< registration, providers, snapshot
-  std::mutex batch_mu_;             ///< serializes BatchScope writers
-  std::atomic<std::uint64_t> seq_{0};  ///< seqlock: odd = batch in flight
+  mutable std::mutex mu_;        ///< registration, providers, snapshot
+  mutable std::mutex batch_mu_;  ///< BatchScope writers vs snapshot reads
   std::map<std::string, Entry> metrics_;
   std::map<std::uint64_t, Provider> providers_;
   std::uint64_t next_provider_id_ = 1;

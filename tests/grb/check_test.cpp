@@ -1,8 +1,7 @@
 // Death/negative tests for the debug concurrency-correctness layer
-// (grb/detail/check.hpp): workspace lease misuse (double-detach,
-// use-after-detach, cross-thread detach, leak-at-trim), chunk-grid write
-// overlap, and apply-path reentrancy — plus functional coverage of the
-// parallel_tasks fan-out driver the shard layer runs on.
+// (grb/detail/check.hpp): chunk-grid write overlap and apply-path
+// reentrancy — plus functional coverage of the parallel_tasks fan-out
+// driver the shard layer runs on.
 //
 // In Release builds (NDEBUG) the checks are compiled out by design; the
 // death tests skip themselves and the misuse paths are instead exercised
@@ -11,21 +10,16 @@
 
 #include <atomic>
 #include <stdexcept>
-#include <string>
-#include <thread>
 #include <vector>
 
 #include "grb/context.hpp"
 #include "grb/detail/check.hpp"
 #include "grb/detail/parallel.hpp"
-#include "grb/detail/workspace.hpp"
 #include "model/change.hpp"
 #include "queries/grb_state.hpp"
 #include "shard/sharded_state.hpp"
 
 namespace {
-
-using grb::detail::workspace;
 
 class CheckDeathTest : public ::testing::Test {
  protected:
@@ -35,54 +29,6 @@ class CheckDeathTest : public ::testing::Test {
     GTEST_FLAG_SET(death_test_style, "threadsafe");
   }
 };
-
-TEST_F(CheckDeathTest, DoubleDetachDies) {
-#if GRB_CHECKS_ENABLED
-  EXPECT_DEATH(
-      {
-        auto lease = workspace().lease<int>(256);
-        auto first = lease.detach();
-        auto second = lease.detach();
-        (void)first;
-        (void)second;
-      },
-      "double-detach");
-#else
-  GTEST_SKIP() << "ownership checks compile out in Release";
-#endif
-}
-
-TEST_F(CheckDeathTest, UseAfterDetachDies) {
-#if GRB_CHECKS_ENABLED
-  EXPECT_DEATH(
-      {
-        auto lease = workspace().lease<int>(256);
-        auto buf = lease.detach();
-        (void)buf;
-        lease->push_back(1);
-      },
-      "use-after-detach");
-#else
-  GTEST_SKIP() << "ownership checks compile out in Release";
-#endif
-}
-
-TEST_F(CheckDeathTest, CrossThreadDetachDies) {
-#if GRB_CHECKS_ENABLED
-  EXPECT_DEATH(
-      {
-        auto lease = workspace().lease<int>(256);
-        std::thread other([&] {
-          auto buf = lease.detach();
-          (void)buf;
-        });
-        other.join();
-      },
-      "cross-thread detach");
-#else
-  GTEST_SKIP() << "ownership checks compile out in Release";
-#endif
-}
 
 TEST_F(CheckDeathTest, OverlappingChunkClaimsDie) {
 #if GRB_CHECKS_ENABLED
@@ -112,53 +58,6 @@ TEST_F(CheckDeathTest, ReentrantScopeDies) {
 #else
   GTEST_SKIP() << "reentrancy checks compile out in Release";
 #endif
-}
-
-// trim_workspace() with a live lease must REPORT the leak (owning thread +
-// size class), never crash — trimming around a deliberate long-lived lease
-// is legal. Release builds compile the ledger out; the call must still be
-// safe with the lease outstanding.
-TEST(CheckTest, TrimWithLiveLeaseReportsLeakInsteadOfCrashing) {
-  auto lease = workspace().lease<double>(512);
-  lease->assign(100, 1.0);
-#if GRB_CHECKS_ENABLED
-  testing::internal::CaptureStderr();
-  grb::trim_workspace();
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("leak-at-trim"), std::string::npos) << err;
-  EXPECT_NE(err.find("owner-thread"), std::string::npos) << err;
-  EXPECT_NE(err.find("size-class"), std::string::npos) << err;
-#else
-  grb::trim_workspace();
-#endif
-  // The lease stays fully usable after the trim and returns cleanly.
-  EXPECT_EQ(lease->size(), 100u);
-}
-
-TEST(CheckTest, LeaseLedgerTracksLiveLeases) {
-  const std::size_t before = workspace().live_leases();
-  {
-    auto a = workspace().lease<int>(128);
-    auto b = workspace().lease<float>(128);
-#if GRB_CHECKS_ENABLED
-    EXPECT_EQ(workspace().live_leases(), before + 2);
-#else
-    EXPECT_EQ(workspace().live_leases(), 0u);
-#endif
-    (void)a;
-    (void)b;
-  }
-  EXPECT_EQ(workspace().live_leases(), GRB_CHECKS_ENABLED ? before : 0u);
-}
-
-TEST(CheckTest, MovedFromLeaseIsInert) {
-  auto a = workspace().lease<int>(256);
-  auto b = std::move(a);
-  b->push_back(7);
-  EXPECT_EQ(b->back(), 7);
-  // The moved-from lease neither double-releases nor trips the ledger.
-  const auto buf = b.detach();
-  EXPECT_EQ(buf.back(), 7);
 }
 
 TEST(CheckTest, DisjointClaimsAndReuseAfterReleasePass) {

@@ -3,7 +3,7 @@
 // publication barrier, exception propagation and drain-on-destruction —
 // plus the ThreadSanitizer regression pair for the producer→worker slot
 // hand-off. The suite name carries "Pipeline" so the tsan CI lane's
-// oversubscribed re-run (-R 'parallel|shard|workspace|Pipeline') picks it
+// oversubscribed re-run (-R 'parallel|shard|Pipeline') picks it
 // up.
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "grb/detail/check.hpp"
@@ -128,9 +129,12 @@ TEST(PipelinePrimitive, RejectsDegenerateConfigurations) {
 // re-annotate), so TSan watches this hand-off with no help: the green test
 // pins that the correctly-ordered protocol is clean, and the death test
 // seeds the one bug the barrier exists to prevent — publishing an epoch
-// before its slot write — and requires TSan to flag it. Both accesses are
-// unordered (the slot write happens after the publish edge the worker
-// synchronised on), so the race is reported regardless of scheduling.
+// before its slot write — and requires TSan to flag it. The two accesses
+// are unordered: the worker synchronised only on the publish edge, which
+// precedes the slot write, and the producer touches no shared lock until
+// the worker has read the slot (it waits on a relaxed flag, which TSan
+// does not treat as synchronisation). So the race is reported on every
+// schedule, not only when the worker happens to wake before the write.
 
 TEST(PipelineTsanRegression, OrderedHandOffIsClean) {
   std::vector<std::uint64_t> slots(4, 0);
@@ -167,12 +171,19 @@ TEST(PipelineTsanRegression, MisorderedPublicationDies) {
       {
         std::vector<std::uint64_t> slots(2, 0);
         std::atomic<std::uint64_t> sum{0};
+        std::atomic<bool> read{false};
         EpochPipeline pipe(1, 2, [&](std::size_t, std::uint64_t e) {
           sum.fetch_add(slots[e % 2]);
+          read.store(true, std::memory_order_relaxed);
         });
         const std::uint64_t e = pipe.reserve();
         pipe.publish(e);  // BUG: epoch visible before its slot is written
         slots[e % 2] = 42;
+        // Without this wait, wait_retired's lock could order the write
+        // before a late-waking worker's read and hide the race.
+        while (!read.load(std::memory_order_relaxed)) {
+          std::this_thread::yield();
+        }
         pipe.wait_retired(e);
       },
       "ThreadSanitizer: data race");

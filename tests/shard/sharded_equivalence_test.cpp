@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 
 #include "datagen/generator.hpp"
 #include "grb/detail/check.hpp"
@@ -28,11 +29,21 @@ std::vector<ToolSpec> reference_and_sharded(int shards) {
   return tools;
 }
 
+// GoogleTest prints a byte dump of GetParam() when it lists and reports a
+// case. The explicit zeroed pads fill what would otherwise be uninitialised
+// padding (between `scale` and `seed`, and after `shards`), so the dump is
+// the same on every build and run.
 struct ShardedCase {
+  ShardedCase(unsigned sc, std::uint64_t sd, int sh)
+      : scale(sc), seed(sd), shards(sh) {}
   unsigned scale;
+  unsigned pad = 0;
   std::uint64_t seed;
   int shards;
+  int tail_pad = 0;
 };
+static_assert(std::has_unique_object_representations_v<ShardedCase>,
+              "ShardedCase must have no padding bytes");
 
 class ShardedEquivalence : public ::testing::TestWithParam<ShardedCase> {};
 

@@ -15,9 +15,9 @@ on — the ones clang-tidy cannot know about:
                         bit-identical-at-any-thread-count guarantee. Use
                         detail::parallel_fold (fixed-grid, deterministic).
   naked-alloc           `new T[...]` / malloc / calloc / realloc are banned
-                        outside src/grb/detail/workspace.hpp: scratch and
-                        storage lease from the Context workspace arena so
-                        the steady state stays allocation-free.
+                        everywhere: scratch and storage use std::vector,
+                        which owns its buffer and frees it on every exit
+                        path.
   raw-rng               std::rand / srand / std::random_device are banned in
                         library code (src/): all randomness flows through
                         the seeded support/rng.hpp engines so every run is
@@ -38,8 +38,8 @@ on — the ones clang-tidy cannot know about:
                         integer> in src/ outside src/support/telemetry/: a
                         process-global unsigned atomic is a counter, and
                         counters leave the process through the telemetry
-                        registry only. Member atomics (the arena's, the
-                        server's) and non-counter globals (atomic<int>,
+                        registry only. Member atomics (the server's, the
+                        pipeline's) and non-counter globals (atomic<int>,
                         atomic<LogLevel>) are legal.
 
 A line may opt out of one rule with a trailing `lint:allow(<rule-id>)`
@@ -174,10 +174,9 @@ RULES = [
     Rule(
         "naked-alloc",
         r"(\bnew\s+[A-Za-z_][\w:<>,\s]*\[|\b(?:malloc|calloc|realloc)\s*\()",
-        "naked allocation outside the workspace arena — lease scratch from "
-        "grb::detail::workspace() (grb/detail/workspace.hpp)",
+        "naked allocation — use std::vector, which owns its buffer",
         SCAN_DIRS,
-        {"src/grb/detail/workspace.hpp"},
+        set(),
     ),
     Rule(
         "raw-rng",
@@ -460,6 +459,11 @@ def self_test():
             "void* p = malloc(64);\n",
             {"naked-alloc"},
         ),
+        # No file is exempt, the grb detail layer included.
+        "src/grb/detail/pool.hpp": (
+            "T* buf = static_cast<T*>(realloc(buf, n * sizeof(T)));\n",
+            {"naked-alloc"},
+        ),
         "src/engine.cpp": (
             "#include <random>\n"
             "int seed() { return static_cast<int>(std::random_device{}()); }\n",
@@ -502,8 +506,8 @@ def self_test():
             {"global-counter"},
         ),
         # Members, locals, parameters and non-counter globals stay legal,
-        "src/grb/detail/arena2.hpp": (
-            "class Arena {\n"
+        "src/grb/detail/stats2.hpp": (
+            "class Stats {\n"
             "  void note(std::atomic<std::uint64_t>& c) {\n"
             "    std::atomic<std::size_t> local{0};\n"
             "  }\n"
