@@ -11,7 +11,10 @@
 // perf-trajectory artifact.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "datagen/scale_table.hpp"
 #include "grb/grb.hpp"
@@ -339,19 +342,33 @@ BENCHMARK(BM_ReduceRowsSF)
     ->Args({2048, 1})
     ->Args({2048, 8});
 
-void BM_InsertTuplesBatch(benchmark::State& state) {
-  const auto base = social_matrix(kRows, kCols, kNnz, 10);
+void BM_InsertRemoveBatchSF(benchmark::State& state) {
+  // The incremental engine's apply path: one change set's worth of new
+  // edges (40) inserted into an SF-sized social matrix in place, then
+  // removed again. The positions start absent, so every iteration leaves
+  // the matrix as it found it and nothing but the two updates is timed.
+  const auto sf = static_cast<unsigned>(state.range(0));
+  auto m = sf_matrix(sf, 10);
   grbsm::support::Xoshiro256 rng(11);
   std::vector<grb::Tuple<Bool>> batch;
-  for (int k = 0; k < 200; ++k) {
-    batch.push_back({rng.bounded(kRows), rng.bounded(kCols), Bool{1}});
+  std::vector<std::pair<Index, Index>> pos;
+  while (batch.size() < 40) {
+    const Index r = rng.bounded(m.nrows());
+    const Index c = rng.bounded(m.ncols());
+    if (m.has(r, c) ||
+        std::find(pos.begin(), pos.end(), std::pair{r, c}) != pos.end()) {
+      continue;
+    }
+    batch.push_back({r, c, Bool{1}});
+    pos.emplace_back(r, c);
   }
   for (auto _ : state) {
-    Matrix<Bool> m = base;
     m.insert_tuples(batch, grb::LOr<Bool>{});
-    benchmark::DoNotOptimize(m);
+    m.remove_positions(pos);
+    benchmark::DoNotOptimize(m.nvals());
   }
+  state.counters["nnz"] = static_cast<double>(m.nvals());
 }
-BENCHMARK(BM_InsertTuplesBatch);
+BENCHMARK(BM_InsertRemoveBatchSF)->Arg(16)->Arg(64)->Arg(256);
 
 }  // namespace

@@ -31,21 +31,27 @@ sm::Timestamp bits_ts(std::uint64_t bits) {
 
 // --- Payload codec --------------------------------------------------------
 
+// Every multi-byte write goes through bytes(), which appends with resize +
+// memcpy: GCC 12 in Release tracks the push_back/range-insert mix inlined
+// into write_error to a 4-byte buffer and stops the build with a false
+// -Wstringop-overflow under -Werror.
 void PayloadWriter::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  std::uint8_t b[4];
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  bytes(b, sizeof b);
 }
 
 void PayloadWriter::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  std::uint8_t b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+  bytes(b, sizeof b);
 }
 
 void PayloadWriter::bytes(const void* data, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  buf_.insert(buf_.end(), p, p + n);
+  if (n == 0) return;
+  const std::size_t at = buf_.size();
+  buf_.resize(at + n);
+  std::memcpy(buf_.data() + at, data, n);
 }
 
 std::uint8_t PayloadReader::u8() {

@@ -6,9 +6,12 @@
 // The social-media workload grows its matrices continuously (new comments
 // and users arrive in every change set), so in addition to the standard
 // GraphBLAS build/setElement API the class provides `resize` (grow/shrink,
-// GxB_Matrix_resize) and `insert_tuples` (sorted batch merge), which is how
-// the incremental engine applies a change set in O(nnz + k log k) instead of
-// k separate O(nnz) setElement calls.
+// GxB_Matrix_resize) and the in-place batch updates `insert_tuples` and
+// `remove_positions`, which is how the incremental engine applies a change
+// set. Each costs O(k log k + entries after the first touched row): the
+// packed arrays are shifted as a few block moves (one per untouched stretch
+// between touched rows) and only the touched rows are merged element-wise,
+// instead of k separate O(nnz) setElement calls or a rebuild of every row.
 #pragma once
 
 #include <algorithm>
@@ -169,9 +172,16 @@ class Matrix {
     for (Index r = i + 1; r <= nrows_; ++r) ++rowptr_[r];
   }
 
-  /// Merges a batch of new tuples into the matrix in one pass. Duplicates
+  /// Merges a batch of new tuples into the matrix in place. Duplicates
   /// (within the batch or against existing entries) are combined with `dup`.
   /// This is the change-set application primitive of the incremental engine.
+  ///
+  /// Cost: O(k log k) to sort and combine the batch, plus block moves of the
+  /// entries after the first row the batch inserts into. Batch tuples that
+  /// hit an existing entry are combined where they stand; colind/val then
+  /// grow once, the touched rows are walked from last to first, each
+  /// untouched stretch between them moves as one block (its slice of rowptr
+  /// gets one added offset), and only touched rows are merged element-wise.
   template <typename Dup = Plus<T>>
   void insert_tuples(std::vector<Tuple<T>> tuples, Dup dup = Dup{}) {
     if (tuples.empty()) return;
@@ -184,56 +194,74 @@ class Matrix {
       }
     }
     sort_tuples(tuples);
-    // Combine duplicates inside the batch first.
-    std::vector<Tuple<T>> batch;
-    batch.reserve(tuples.size());
-    for (auto& t : tuples) {
-      if (!batch.empty() && batch.back().row == t.row &&
-          batch.back().col == t.col) {
-        batch.back().val = dup(batch.back().val, t.val);
+    // Combine duplicates inside the batch, then fold each tuple that hits an
+    // existing entry into it; the rest (`misses`) are compacted to the front
+    // of `tuples` and become new entries.
+    std::size_t misses = 0;
+    Index cur_row = nrows_;
+    Index cursor = 0;  // offset in colind_ where the search in cur_row resumes
+    for (std::size_t b = 0; b < tuples.size();) {
+      Tuple<T> t = std::move(tuples[b++]);
+      while (b < tuples.size() && tuples[b].row == t.row &&
+             tuples[b].col == t.col) {
+        t.val = dup(t.val, tuples[b++].val);
+      }
+      if (t.row != cur_row) {
+        cur_row = t.row;
+        cursor = rowptr_[t.row];
+      }
+      const auto row_end = colind_.begin() + rowptr_[t.row + 1];
+      const auto it =
+          std::lower_bound(colind_.begin() + cursor, row_end, t.col);
+      cursor = static_cast<Index>(it - colind_.begin());
+      if (it != row_end && *it == t.col) {
+        val_[cursor] = dup(val_[cursor], t.val);
       } else {
-        batch.push_back(t);
+        tuples[misses++] = std::move(t);  // misses < b: slot already read
       }
     }
-    // Merge old CSR with the sorted batch.
-    std::vector<Index> new_rowptr(nrows_ + 1, 0);
-    std::vector<Index> new_colind;
-    std::vector<T> new_val;
-    new_colind.reserve(colind_.size() + batch.size());
-    new_val.reserve(val_.size() + batch.size());
-    std::size_t b = 0;
-    for (Index i = 0; i < nrows_; ++i) {
-      Index k = rowptr_[i];
-      const Index k_end = rowptr_[i + 1];
-      while (k < k_end || (b < batch.size() && batch[b].row == i)) {
-        const bool take_old =
-            k < k_end && (b >= batch.size() || batch[b].row != i ||
-                          colind_[k] < batch[b].col);
-        if (take_old) {
-          new_colind.push_back(colind_[k]);
-          new_val.push_back(val_[k]);
-          ++k;
-        } else if (k < k_end && batch[b].row == i && colind_[k] == batch[b].col) {
-          new_colind.push_back(colind_[k]);
-          new_val.push_back(dup(val_[k], batch[b].val));
-          ++k;
-          ++b;
+    if (misses == 0) return;
+
+    const Index old_nnz = nvals();
+    grow_storage(old_nnz + static_cast<Index>(misses));
+    Index end = old_nnz;  // old entries in [0, end) have not moved yet
+    Index hi = nrows_;    // rowptr_[r + 1 .. hi] still holds old offsets
+    std::size_t b = misses;
+    while (b > 0) {
+      const Index r = tuples[b - 1].row;
+      const Index row_begin = rowptr_[r];
+      const Index row_end = rowptr_[r + 1];
+      // Everything after row r shifts right by the b new entries in rows <= r.
+      const auto shift = static_cast<Index>(b);
+      move_block_backward(row_end, end, end + shift);
+      for (Index i = r + 1; i <= hi; ++i) rowptr_[i] += shift;
+      // Merge row r from its end; its untouched head moves with the next
+      // stretch (by the misses in earlier rows).
+      Index k = row_end;
+      Index w = row_end + shift;
+      while (b > 0 && tuples[b - 1].row == r) {
+        --w;
+        if (k > row_begin && colind_[k - 1] > tuples[b - 1].col) {
+          --k;
+          colind_[w] = colind_[k];
+          val_[w] = std::move(val_[k]);
         } else {
-          new_colind.push_back(batch[b].col);
-          new_val.push_back(batch[b].val);
-          ++b;
+          --b;
+          colind_[w] = tuples[b].col;
+          val_[w] = std::move(tuples[b].val);
         }
       }
-      new_rowptr[i + 1] = static_cast<Index>(new_colind.size());
+      end = k;
+      hi = r;
     }
-    rowptr_ = std::move(new_rowptr);
-    colind_ = std::move(new_colind);
-    val_ = std::move(new_val);
   }
 
-  /// Removes a batch of positions in one merge pass (the removal analogue
-  /// of insert_tuples). Positions without an entry are ignored. Returns the
+  /// Removes a batch of positions in place (the removal analogue of
+  /// insert_tuples). Positions without an entry are ignored. Returns the
   /// number of entries actually removed.
+  ///
+  /// Cost: O(k log k) plus a forward compaction of the entries after the
+  /// first removed one, done as block moves between removed positions.
   std::size_t remove_positions(std::vector<std::pair<Index, Index>> pos) {
     if (pos.empty()) return 0;
     for (const auto& [i, j] : pos) {
@@ -246,35 +274,43 @@ class Matrix {
       std::sort(pos.begin(), pos.end());
     }
     pos.erase(std::unique(pos.begin(), pos.end()), pos.end());
-    std::vector<Index> new_rowptr(nrows_ + 1, 0);
-    std::vector<Index> new_colind;
-    std::vector<T> new_val;
-    new_colind.reserve(colind_.size());
-    new_val.reserve(val_.size());
-    std::size_t b = 0;
-    std::size_t removed = 0;
-    for (Index i = 0; i < nrows_; ++i) {
-      for (Index k = rowptr_[i]; k < rowptr_[i + 1]; ++k) {
-        while (b < pos.size() && (pos[b].first < i ||
-                                  (pos[b].first == i &&
-                                   pos[b].second < colind_[k]))) {
-          ++b;
-        }
-        if (b < pos.size() && pos[b].first == i &&
-            pos[b].second == colind_[k]) {
-          ++removed;
-          ++b;
-          continue;
-        }
-        new_colind.push_back(colind_[k]);
-        new_val.push_back(val_[k]);
+    // Keep only the positions that hold an entry, rewriting each as
+    // (row, storage offset); offsets come out ascending.
+    std::size_t hits = 0;
+    Index cur_row = nrows_;
+    Index cursor = 0;
+    for (std::size_t p = 0; p < pos.size(); ++p) {
+      const auto [i, j] = pos[p];
+      if (i != cur_row) {
+        cur_row = i;
+        cursor = rowptr_[i];
       }
-      new_rowptr[i + 1] = static_cast<Index>(new_colind.size());
+      const auto row_end = colind_.begin() + rowptr_[i + 1];
+      const auto it = std::lower_bound(colind_.begin() + cursor, row_end, j);
+      cursor = static_cast<Index>(it - colind_.begin());
+      if (it != row_end && *it == j) pos[hits++] = {i, cursor};
     }
-    rowptr_ = std::move(new_rowptr);
-    colind_ = std::move(new_colind);
-    val_ = std::move(new_val);
-    return removed;
+    if (hits == 0) return 0;
+
+    const Index old_nnz = nvals();
+    Index w = pos[0].second;
+    std::size_t d = 0;
+    while (d < hits) {
+      const Index r = pos[d].first;
+      // Close the gaps of row r, then carry the stretch up to the next
+      // touched row down by the d removals so far.
+      for (; d < hits && pos[d].first == r; ++d) {
+        const Index next = d + 1 < hits ? pos[d + 1].second : old_nnz;
+        w = move_block(pos[d].second + 1, next, w);
+      }
+      const Index next_row = d < hits ? pos[d].first : nrows_;
+      for (Index i = r + 1; i <= next_row; ++i) {
+        rowptr_[i] -= static_cast<Index>(d);
+      }
+    }
+    colind_.resize(w);
+    val_.resize(w);
+    return hits;
   }
 
   /// Column indices of row i (sorted). Zero-copy CSR row view.
@@ -370,6 +406,37 @@ class Matrix {
     if (!std::is_sorted(tuples.begin(), tuples.end(), less)) {
       std::sort(tuples.begin(), tuples.end(), less);
     }
+  }
+
+  /// Grows colind_/val_ to `n` entries. Capacity grows by an eighth rather
+  /// than doubling: a change set adds a few dozen entries to a matrix of
+  /// hundreds of thousands, so the headroom lasts many change sets without
+  /// doubling the matrix's footprint.
+  void grow_storage(Index n) {
+    if (n > colind_.capacity()) {
+      const Index cap = n + n / 8;
+      colind_.reserve(cap);
+      val_.reserve(cap);
+    }
+    colind_.resize(n);
+    val_.resize(n);
+  }
+
+  /// Moves entries [first, last) to start at `dest` <= first; returns the
+  /// end of the moved block.
+  Index move_block(Index first, Index last, Index dest) {
+    std::move(colind_.begin() + first, colind_.begin() + last,
+              colind_.begin() + dest);
+    std::move(val_.begin() + first, val_.begin() + last, val_.begin() + dest);
+    return dest + (last - first);
+  }
+
+  /// Moves entries [first, last) to end at `dest_end` >= last.
+  void move_block_backward(Index first, Index last, Index dest_end) {
+    std::move_backward(colind_.begin() + first, colind_.begin() + last,
+                       colind_.begin() + dest_end);
+    std::move_backward(val_.begin() + first, val_.begin() + last,
+                       val_.begin() + dest_end);
   }
 
   void check_bounds(Index i, Index j) const {

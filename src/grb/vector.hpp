@@ -154,6 +154,77 @@ class Vector {
     val_.erase(val_.begin() + static_cast<std::ptrdiff_t>(pos));
   }
 
+  /// Applies a batch of per-position updates in place (the Vector
+  /// counterpart of Matrix::insert_tuples/remove_positions). `idx` must be
+  /// strictly ascending. Position idx[k] becomes fn(k, v), where v is its
+  /// stored value or `absent` if it has none; a result equal to `absent`
+  /// leaves the position without an entry.
+  ///
+  /// Cost: O(k log nvals) plus block moves of the entries after the first
+  /// inserted or dropped one.
+  template <typename F>
+  void update_sorted(std::span<const Index> idx, const T& absent, F&& fn) {
+    if (idx.empty()) return;
+    check_bounds(idx.back());
+    struct Added {
+      std::size_t at;  // insertion offset into ind_
+      Index i;
+      T val;
+    };
+    std::vector<std::size_t> dropped;  // offsets into ind_, ascending
+    std::vector<Added> added;
+    std::size_t cursor = 0;
+    for (std::size_t k = 0; k < idx.size(); ++k) {
+      cursor = static_cast<std::size_t>(
+          std::lower_bound(ind_.begin() + static_cast<std::ptrdiff_t>(cursor),
+                           ind_.end(), idx[k]) -
+          ind_.begin());
+      if (cursor < ind_.size() && ind_[cursor] == idx[k]) {
+        val_[cursor] = fn(k, val_[cursor]);
+        if (val_[cursor] == absent) dropped.push_back(cursor);
+      } else if (T v = fn(k, absent); !(v == absent)) {
+        added.push_back({cursor, idx[k], std::move(v)});
+      }
+    }
+    if (!dropped.empty()) {
+      // Forward compaction, one block move per gap between dropped entries;
+      // insertion offsets then shift down by the drops before them.
+      std::size_t w = dropped[0];
+      for (std::size_t d = 0; d < dropped.size(); ++d) {
+        const std::size_t from = dropped[d] + 1;
+        const std::size_t to =
+            d + 1 < dropped.size() ? dropped[d + 1] : ind_.size();
+        std::move(ind_.begin() + from, ind_.begin() + to, ind_.begin() + w);
+        std::move(val_.begin() + from, val_.begin() + to, val_.begin() + w);
+        w += to - from;
+      }
+      ind_.resize(w);
+      val_.resize(w);
+      std::size_t d = 0;
+      for (Added& a : added) {
+        while (d < dropped.size() && dropped[d] < a.at) ++d;
+        a.at -= d;
+      }
+    }
+    if (!added.empty()) {
+      // Grow once, then place new entries from last to first; the stretch
+      // between two of them moves as one block by the count still to place.
+      std::size_t end = ind_.size();
+      ind_.resize(end + added.size());
+      val_.resize(end + added.size());
+      for (std::size_t a = added.size(); a > 0; --a) {
+        Added& next = added[a - 1];
+        std::move_backward(ind_.begin() + next.at, ind_.begin() + end,
+                           ind_.begin() + end + a);
+        std::move_backward(val_.begin() + next.at, val_.begin() + end,
+                           val_.begin() + end + a);
+        ind_[next.at + a - 1] = next.i;
+        val_[next.at + a - 1] = std::move(next.val);
+        end = next.at;
+      }
+    }
+  }
+
   /// Coordinate views (GrB_Vector_extractTuples without the copy).
   [[nodiscard]] std::span<const Index> indices() const noexcept {
     return ind_;

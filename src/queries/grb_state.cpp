@@ -11,12 +11,43 @@ namespace {
                           ")");
 }
 
-Index require(const std::unordered_map<sm::NodeId, Index>& idx, sm::NodeId id,
-              const char* what) {
-  const auto it = idx.find(id);
-  if (it == idx.end()) fail(what, id);
-  return it->second;
-}
+/// The ids of one kind (users, posts or comments) that a change set creates,
+/// staged while the set resolves: they get the dense ids after the state's
+/// existing ones and join the state only at commit.
+struct NewIds {
+  explicit NewIds(std::size_t base) : base(static_cast<Index>(base)) {}
+
+  /// Dense id of `id`, existing or staged; throws `what` if it has neither.
+  Index find(const std::unordered_map<sm::NodeId, Index>& existing,
+             sm::NodeId id, const char* what) const {
+    if (const auto it = existing.find(id); it != existing.end()) {
+      return it->second;
+    }
+    const auto it = staged.find(id);
+    if (it == staged.end()) fail(what, id);
+    return it->second;
+  }
+
+  /// Stages a new id; throws `what` if it exists or is already staged.
+  void add(const std::unordered_map<sm::NodeId, Index>& existing,
+           sm::NodeId id, const char* what) {
+    if (existing.contains(id) ||
+        !staged.emplace(id, base + static_cast<Index>(ids.size())).second) {
+      fail(what, id);
+    }
+    ids.push_back(id);
+  }
+
+  void commit(std::unordered_map<sm::NodeId, Index>& existing,
+              std::vector<sm::NodeId>& dense_ids) const {
+    existing.insert(staged.begin(), staged.end());
+    dense_ids.insert(dense_ids.end(), ids.begin(), ids.end());
+  }
+
+  Index base;
+  std::vector<sm::NodeId> ids;
+  std::unordered_map<sm::NodeId, Index> staged;
+};
 }  // namespace
 
 void GrbState::add_user(sm::NodeId id) {
@@ -30,23 +61,6 @@ void GrbState::add_post(sm::NodeId id, sm::Timestamp ts) {
   if (!post_idx_.emplace(id, dense).second) fail("duplicate post", id);
   post_ids_.push_back(id);
   post_ts_.push_back(ts);
-}
-
-std::pair<Index, Index> GrbState::add_comment(sm::NodeId id, sm::Timestamp ts,
-                                              bool parent_is_comment,
-                                              sm::NodeId parent) {
-  const Index dense = static_cast<Index>(comment_ids_.size());
-  if (!comment_idx_.emplace(id, dense).second) fail("duplicate comment", id);
-  Index root;
-  if (parent_is_comment) {
-    root = comment_root_[require(comment_idx_, parent, "unknown parent comment")];
-  } else {
-    root = require(post_idx_, parent, "unknown parent post");
-  }
-  comment_ids_.push_back(id);
-  comment_ts_.push_back(ts);
-  comment_root_.push_back(root);
-  return {root, dense};
 }
 
 GrbState GrbState::from_graph(const sm::SocialGraph& g) {
@@ -106,8 +120,23 @@ GrbDelta GrbState::apply_change_set(const sm::ChangeSet& cs) {
   // matrices mid-merge.
   const grb::detail::ReentrancyScope apply_scope(apply_guard_,
                                                  "GrbState::apply_change_set");
-  std::vector<grb::Tuple<Bool>> rp_tuples;
-  GrbDelta delta;
+  // --- Resolve: check every op against the state plus the ids this set
+  // creates before it, without touching a member. Anything invalid throws
+  // here and leaves the state as it was.
+  const Index posts0 = static_cast<Index>(post_ids_.size());
+  const Index comments0 = static_cast<Index>(comment_ids_.size());
+  NewIds new_users(user_ids_.size());
+  NewIds new_posts(posts0);
+  NewIds new_comments(comments0);
+  std::vector<sm::Timestamp> new_post_ts;
+  std::vector<sm::Timestamp> new_comment_ts;
+  std::vector<Index> new_comment_root;
+  const auto user = [&](sm::NodeId id) {
+    return new_users.find(user_idx_, id, "unknown user");
+  };
+  const auto comment = [&](sm::NodeId id) {
+    return new_comments.find(comment_idx_, id, "unknown comment");
+  };
 
   // Edge ops are netted per edge: the batch may add, remove and re-add the
   // same edge; only the difference between the pre-batch state and the final
@@ -122,42 +151,71 @@ GrbDelta GrbState::apply_change_set(const sm::ChangeSet& cs) {
         [&](const auto& o) {
           using T = std::decay_t<decltype(o)>;
           if constexpr (std::is_same_v<T, sm::AddUser>) {
-            add_user(o.id);
+            new_users.add(user_idx_, o.id, "duplicate user");
           } else if constexpr (std::is_same_v<T, sm::AddPost>) {
-            delta.new_posts.push_back(static_cast<Index>(post_ids_.size()));
-            add_post(o.id, o.timestamp);
+            new_posts.add(post_idx_, o.id, "duplicate post");
+            new_post_ts.push_back(o.timestamp);
           } else if constexpr (std::is_same_v<T, sm::AddComment>) {
-            const auto [root, dense] =
-                add_comment(o.id, o.timestamp, o.parent_is_comment, o.parent);
-            rp_tuples.push_back({root, dense, Bool{1}});
-            delta.new_comments.push_back(dense);
+            Index root;
+            if (o.parent_is_comment) {
+              const Index parent = new_comments.find(
+                  comment_idx_, o.parent, "unknown parent comment");
+              root = parent < comments0
+                         ? comment_root_[parent]
+                         : new_comment_root[parent - comments0];
+            } else {
+              root = new_posts.find(post_idx_, o.parent,
+                                    "unknown parent post");
+            }
+            new_comments.add(comment_idx_, o.id, "duplicate comment");
+            new_comment_ts.push_back(o.timestamp);
+            new_comment_root.push_back(root);
           } else if constexpr (std::is_same_v<T, sm::AddLikes>) {
-            const Index u = require(user_idx_, o.user, "unknown user");
-            const Index c = require(comment_idx_, o.comment, "unknown comment");
-            like_want[{c, u}] = true;
+            const Index u = user(o.user);
+            like_want[{comment(o.comment), u}] = true;
           } else if constexpr (std::is_same_v<T, sm::RemoveLikes>) {
-            const Index u = require(user_idx_, o.user, "unknown user");
-            const Index c = require(comment_idx_, o.comment, "unknown comment");
-            like_want[{c, u}] = false;
+            const Index u = user(o.user);
+            like_want[{comment(o.comment), u}] = false;
           } else if constexpr (std::is_same_v<T, sm::AddFriendship>) {
-            const Index a = require(user_idx_, o.a, "unknown user");
-            const Index b = require(user_idx_, o.b, "unknown user");
+            const Index a = user(o.a);
+            const Index b = user(o.b);
             friend_want[{std::min(a, b), std::max(a, b)}] = true;
           } else {
             static_assert(std::is_same_v<T, sm::RemoveFriendship>);
-            const Index a = require(user_idx_, o.a, "unknown user");
-            const Index b = require(user_idx_, o.b, "unknown user");
+            const Index a = user(o.a);
+            const Index b = user(o.b);
             friend_want[{std::min(a, b), std::max(a, b)}] = false;
           }
         },
         op);
   }
 
+  // --- Commit: nothing below depends on the input being valid.
+  GrbDelta delta;
+  for (Index k = 0; k < new_posts.ids.size(); ++k) {
+    delta.new_posts.push_back(posts0 + k);
+  }
+  new_users.commit(user_idx_, user_ids_);
+  new_posts.commit(post_idx_, post_ids_);
+  new_comments.commit(comment_idx_, comment_ids_);
+  post_ts_.insert(post_ts_.end(), new_post_ts.begin(), new_post_ts.end());
+  comment_ts_.insert(comment_ts_.end(), new_comment_ts.begin(),
+                     new_comment_ts.end());
+  comment_root_.insert(comment_root_.end(), new_comment_root.begin(),
+                       new_comment_root.end());
+
   const Index np = static_cast<Index>(post_ids_.size());
   const Index nc = static_cast<Index>(comment_ids_.size());
   const Index nu = static_cast<Index>(user_ids_.size());
 
-  // Resolve the netted edge ops against the pre-batch matrices. The netting
+  std::vector<grb::Tuple<Bool>> rp_tuples;
+  rp_tuples.reserve(new_comment_root.size());
+  for (Index k = 0; k < new_comment_root.size(); ++k) {
+    rp_tuples.push_back({new_comment_root[k], comments0 + k, Bool{1}});
+    delta.new_comments.push_back(comments0 + k);
+  }
+
+  // Check the netted edge ops against the pre-batch matrices. The netting
   // maps iterate in (row, col) order, so presence is decided with a single
   // forward sweep per matrix — a row cursor that only moves right — rather
   // than a fresh binary search per op, and every batch below comes out in
@@ -215,11 +273,11 @@ GrbDelta GrbState::apply_change_set(const sm::ChangeSet& cs) {
         delta.removed_friendships.emplace_back(a, b);
       });
 
-  // Grow to the post-update dimensions, then apply each batch as a single
-  // sorted insert_tuples / remove_positions merge per matrix per change
-  // set. The like batch and both removal batches arrive already in CSR
-  // order from the sorted sweep, so their merges skip the re-sort; only the
-  // friendship batch (forward + mirrored directions) pays one sort.
+  // Grow to the post-update dimensions, then apply each batch in place as
+  // one insert_tuples / remove_positions per matrix. The like batch and
+  // both removal batches arrive already in CSR order from the sorted sweep,
+  // so they skip the re-sort; the root-post batch (rows are the new
+  // comments' posts) and the friendship batch (both directions) pay one.
   root_post_.resize(np, nc);
   likes_.resize(nc, nu);
   friends_.resize(nu, nu);
@@ -262,18 +320,18 @@ GrbDelta GrbState::apply_change_set(const sm::ChangeSet& cs) {
   delta.new_friends = incidence(delta.new_friendships);
   delta.removed_friends = incidence(delta.removed_friendships);
 
-  // Maintain likesCount = likesCount ⊕ likesCount⁺ ⊖ likesCount⁻. The minus
-  // entries always intersect existing entries (the edge existed), so the
-  // union semantics of eWiseAdd(Minus) are exact here.
-  grb::eWiseAdd(likes_count_, grb::Plus<std::uint64_t>{}, likes_count_,
-                delta.likes_count_plus);
-  if (delta.likes_count_minus.nvals() > 0) {
-    grb::eWiseAdd(likes_count_, grb::Minus<std::uint64_t>{}, likes_count_,
-                  delta.likes_count_minus);
-    // Drop explicit zeros so likesCount stays the exact pattern of "has
-    // at least one like" (Alg. 1 relies on its sparsity, not values of 0).
-    grb::select(likes_count_, grb::NonZero<std::uint64_t>{}, likes_count_);
-  }
+  // Maintain likesCount = likesCount ⊕ likesCount⁺ ⊖ likesCount⁻ by
+  // scattering the counts in place. A minus always hits a stored count (the
+  // edge existed); a count that reaches 0 is dropped, keeping likesCount the
+  // exact pattern of "has at least one like" (Alg. 1 relies on its sparsity).
+  const auto plus = delta.likes_count_plus.values();
+  likes_count_.update_sorted(
+      delta.likes_count_plus.indices(), std::uint64_t{0},
+      [&](std::size_t k, std::uint64_t count) { return count + plus[k]; });
+  const auto minus = delta.likes_count_minus.values();
+  likes_count_.update_sorted(
+      delta.likes_count_minus.indices(), std::uint64_t{0},
+      [&](std::size_t k, std::uint64_t count) { return count - minus[k]; });
   return delta;
 }
 

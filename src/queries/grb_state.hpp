@@ -9,10 +9,15 @@
 // plus the id/timestamp mappings needed to emit contest answers, and the
 // comment → root-post mapping needed to resolve incoming changes.
 //
-// apply_change_set() grows the matrix dimensions, merges all new edges in
-// sorted batches, and returns the GrbDelta the incremental algorithms
-// consume: ΔRootPost, likesCount⁺, the NewFriends incidence matrix and the
-// new/modified comment lists of Fig. 4.
+// apply_change_set() first resolves the whole change set (every id, parent
+// and duplicate, including ids the set itself creates) without touching the
+// state, so an invalid set throws and leaves the state unchanged. It then
+// commits: grows the matrix dimensions, updates each matrix in place with
+// one sorted insert/remove batch (cost set by the delta and the entries
+// after its first touched row, not by a rebuild of every row), scatters the
+// ± like counts into likesCount, and returns the GrbDelta the incremental
+// algorithms consume: ΔRootPost, likesCount⁺, the NewFriends incidence
+// matrix and the new/modified comment lists of Fig. 4.
 #pragma once
 
 #include <unordered_map>
@@ -74,8 +79,10 @@ class GrbState {
   static GrbState from_graph(const sm::SocialGraph& g);
 
   /// Applies a change set: grows dimensions, merges edges, returns the delta.
-  /// Externally serial: Debug builds guard against reentrant or concurrent
-  /// applies (ReentrancyGuard aborts on an overlapping scope).
+  /// Transactional: throws grb::InvalidValue on an unknown or duplicate id
+  /// and then leaves the state exactly as it was. Externally serial: Debug
+  /// builds guard against reentrant or concurrent applies (ReentrancyGuard
+  /// aborts on an overlapping scope).
   GrbDelta apply_change_set(const sm::ChangeSet& cs);
 
   /// Completed applies on this state (Debug builds; always 0 in Release).
@@ -115,10 +122,6 @@ class GrbState {
  private:
   void add_user(sm::NodeId id);
   void add_post(sm::NodeId id, sm::Timestamp ts);
-  /// Returns (root post, dense comment id).
-  std::pair<Index, Index> add_comment(sm::NodeId id, sm::Timestamp ts,
-                                      bool parent_is_comment,
-                                      sm::NodeId parent);
 
   grb::Matrix<Bool> root_post_{0, 0};
   grb::Matrix<Bool> likes_{0, 0};

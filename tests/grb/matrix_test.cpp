@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "grb/grb.hpp"
 #include "support/rng.hpp"
@@ -183,5 +186,143 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(MergeCase{4, 3, 3, 1}, MergeCase{16, 30, 10, 2},
                       MergeCase{64, 200, 50, 3}, MergeCase{128, 0, 40, 4},
                       MergeCase{128, 40, 0, 5}, MergeCase{512, 900, 300, 6}));
+
+class RemovePositionsSweep : public ::testing::TestWithParam<MergeCase> {};
+
+// Property: remove_positions(pos) == build(existing minus pos), and the
+// returned count is the number of positions that held an entry; absent and
+// repeated positions are ignored.
+TEST_P(RemovePositionsSweep, EquivalentToRebuildWithoutPositions) {
+  const auto [n, initial, batch, seed] = GetParam();
+  grbsm::support::Xoshiro256 rng(seed);
+  std::vector<Tuple<U64>> entries;
+  for (std::size_t k = 0; k < initial; ++k) {
+    entries.push_back({rng.bounded(n), rng.bounded(n), rng.bounded(100)});
+  }
+  auto incremental = Matrix<U64>::build(n, n, entries, grb::Plus<U64>{});
+  const auto stored = incremental.extract_tuples();
+  std::vector<std::pair<Index, Index>> pos;
+  for (std::size_t k = 0; k < batch; ++k) {
+    if (!stored.empty() && rng.bounded(2) == 0) {
+      const auto& t = stored[rng.bounded(stored.size())];
+      pos.emplace_back(t.row, t.col);  // a hit, possibly repeated
+    } else {
+      pos.emplace_back(rng.bounded(n), rng.bounded(n));  // usually absent
+    }
+  }
+  std::vector<Tuple<U64>> kept;
+  for (const auto& t : stored) {
+    if (std::find(pos.begin(), pos.end(), std::pair{t.row, t.col}) ==
+        pos.end()) {
+      kept.push_back(t);
+    }
+  }
+  EXPECT_EQ(incremental.remove_positions(pos), stored.size() - kept.size());
+  EXPECT_EQ(incremental, Matrix<U64>::build(n, n, kept));
+  incremental.check_invariants();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Random, RemovePositionsSweep,
+    ::testing::Values(MergeCase{4, 3, 3, 1}, MergeCase{16, 30, 10, 2},
+                      MergeCase{64, 200, 50, 3}, MergeCase{128, 0, 40, 4},
+                      MergeCase{128, 40, 0, 5}, MergeCase{512, 900, 300, 6},
+                      MergeCase{8, 60, 80, 7}));
+
+// insert_tuples == build(existing ++ batch) for batches aimed at the edges
+// of the in-place walk: row 0 only (every later row shifts), the last row
+// only (nothing after it moves), one middle row, only existing entries (no
+// growth), and an empty matrix.
+void expect_insert_matches_rebuild(const std::vector<Tuple<U64>>& first,
+                                   const std::vector<Tuple<U64>>& second,
+                                   Index n) {
+  auto incremental = Matrix<U64>::build(n, n, first, grb::Plus<U64>{});
+  incremental.insert_tuples(second, grb::Plus<U64>{});
+  std::vector<Tuple<U64>> all = first;
+  all.insert(all.end(), second.begin(), second.end());
+  EXPECT_EQ(incremental, Matrix<U64>::build(n, n, all, grb::Plus<U64>{}));
+  incremental.check_invariants();
+}
+
+std::vector<Tuple<U64>> random_tuples(Index n, std::size_t k,
+                                      grbsm::support::Xoshiro256& rng) {
+  std::vector<Tuple<U64>> out;
+  for (std::size_t i = 0; i < k; ++i) {
+    out.push_back({rng.bounded(n), rng.bounded(n), rng.bounded(100)});
+  }
+  return out;
+}
+
+TEST(InsertTuplesEdges, BatchInRowZeroOnly) {
+  grbsm::support::Xoshiro256 rng(21);
+  const auto first = random_tuples(32, 150, rng);
+  std::vector<Tuple<U64>> second;
+  for (int k = 0; k < 20; ++k) second.push_back({0, rng.bounded(32), 1});
+  expect_insert_matches_rebuild(first, second, 32);
+}
+
+TEST(InsertTuplesEdges, BatchInLastRowOnly) {
+  grbsm::support::Xoshiro256 rng(22);
+  const auto first = random_tuples(32, 150, rng);
+  std::vector<Tuple<U64>> second;
+  for (int k = 0; k < 20; ++k) second.push_back({31, rng.bounded(32), 1});
+  expect_insert_matches_rebuild(first, second, 32);
+}
+
+TEST(InsertTuplesEdges, BatchInOneMiddleRow) {
+  grbsm::support::Xoshiro256 rng(23);
+  const auto first = random_tuples(32, 150, rng);
+  std::vector<Tuple<U64>> second;
+  for (int k = 0; k < 20; ++k) second.push_back({17, rng.bounded(32), 1});
+  expect_insert_matches_rebuild(first, second, 32);
+}
+
+TEST(InsertTuplesEdges, AllHitsOnExistingEntries) {
+  grbsm::support::Xoshiro256 rng(24);
+  const auto first = random_tuples(32, 150, rng);
+  std::vector<Tuple<U64>> second;
+  for (int k = 0; k < 40; ++k) {
+    auto t = first[rng.bounded(first.size())];
+    t.val = rng.bounded(100);
+    second.push_back(t);
+  }
+  expect_insert_matches_rebuild(first, second, 32);
+}
+
+TEST(InsertTuplesEdges, IntoEmptyMatrix) {
+  grbsm::support::Xoshiro256 rng(25);
+  expect_insert_matches_rebuild({}, random_tuples(32, 60, rng), 32);
+  expect_insert_matches_rebuild({}, {{0, 0, 1}}, 1);
+}
+
+// A long run of alternating insert and remove batches on one matrix (the
+// change-set pattern), checked against a from-scratch build after each step.
+TEST(InPlaceUpdates, AlternatingBatchesMatchBuildAtEveryStep) {
+  const Index n = 48;
+  grbsm::support::Xoshiro256 rng(26);
+  auto m = Matrix<U64>::build(n, n, random_tuples(n, 300, rng),
+                              grb::Plus<U64>{});
+  for (int step = 0; step < 200; ++step) {
+    auto expected = m.extract_tuples();
+    if (step % 2 == 0) {
+      const auto batch = random_tuples(n, 1 + rng.bounded(30), rng);
+      m.insert_tuples(batch, grb::Plus<U64>{});
+      expected.insert(expected.end(), batch.begin(), batch.end());
+    } else {
+      std::vector<std::pair<Index, Index>> pos;
+      for (std::size_t k = 1 + rng.bounded(30); k > 0; --k) {
+        pos.emplace_back(rng.bounded(n), rng.bounded(n));
+      }
+      m.remove_positions(pos);
+      std::erase_if(expected, [&](const Tuple<U64>& t) {
+        return std::find(pos.begin(), pos.end(), std::pair{t.row, t.col}) !=
+               pos.end();
+      });
+    }
+    m.check_invariants();
+    ASSERT_EQ(m, Matrix<U64>::build(n, n, expected, grb::Plus<U64>{}))
+        << "step " << step;
+  }
+}
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "grb/grb.hpp"
+#include "support/rng.hpp"
 
 namespace {
 
@@ -195,6 +197,50 @@ TEST(VectorAdoptSorted, NeverSkipsTheCheck) {
   const auto v = Vector<U64>::adopt_sorted(6, {3, 1}, {30, 10},
                                            grb::CsrCheck::kNever);
   EXPECT_EQ(v.nvals(), 2u);
+}
+
+TEST(VectorUpdateSorted, AddsUpdatesAndDropsInPlace) {
+  auto v = Vector<U64>::build(10, {1, 3, 5, 7}, {1, 2, 3, 4});
+  const std::vector<Index> idx{0, 3, 4, 5, 9};
+  const std::vector<std::int64_t> delta{5, -2, 0, 1, 2};
+  v.update_sorted(idx, U64{0}, [&](std::size_t k, U64 x) {
+    return x + static_cast<U64>(delta[k]);
+  });
+  // 0 added, 3 reaches 0 and is dropped, 4 stays absent, 5 updated, 9 added.
+  EXPECT_EQ(v, Vector<U64>::build(10, {0, 1, 5, 7, 9}, {5, 1, 4, 4, 2}));
+  v.check_invariants();
+  EXPECT_THROW(v.update_sorted(std::vector<Index>{10}, U64{0},
+                               [](std::size_t, U64 x) { return x; }),
+               grb::IndexOutOfBounds);
+}
+
+// Property: update_sorted agrees with the same updates on a dense copy, over
+// a run of random batches that add, change and drop entries.
+TEST(VectorUpdateSorted, MatchesDenseReferenceOverManyBatches) {
+  const Index n = 64;
+  grbsm::support::Xoshiro256 rng(31);
+  Vector<U64> v(n);
+  std::vector<U64> dense(n, 0);
+  for (int step = 0; step < 300; ++step) {
+    std::vector<Index> idx;
+    std::vector<U64> next;
+    for (Index i = 0; i < n; ++i) {
+      if (rng.bounded(8) != 0) continue;
+      idx.push_back(i);
+      next.push_back(rng.bounded(3) == 0 ? 0 : rng.bounded(5));
+    }
+    v.update_sorted(idx, U64{0}, [&](std::size_t k, U64) { return next[k]; });
+    for (std::size_t k = 0; k < idx.size(); ++k) dense[idx[k]] = next[k];
+    std::vector<Index> ref_idx;
+    std::vector<U64> ref_val;
+    for (Index i = 0; i < n; ++i) {
+      if (dense[i] != 0) {
+        ref_idx.push_back(i);
+        ref_val.push_back(dense[i]);
+      }
+    }
+    ASSERT_EQ(v, Vector<U64>::build(n, ref_idx, ref_val)) << "step " << step;
+  }
 }
 
 }  // namespace
