@@ -61,28 +61,6 @@ void BM_Mxv(benchmark::State& state) {
 }
 BENCHMARK(BM_Mxv)->Arg(1)->Arg(8);
 
-void BM_MxvPush(benchmark::State& state) {
-  // The BFS mid-expansion shape: a frontier covering ~1/16 of the vertices
-  // pushed through the adjacency — vxm's per-thread scatter accumulators.
-  grb::ThreadGuard guard(static_cast<int>(state.range(0)));
-  const auto a = social_matrix(kRows, kCols, kNnz, 24);
-  std::vector<Index> fi;
-  std::vector<Bool> fv;
-  for (Index i = 0; i < kRows; i += 16) {
-    fi.push_back(i);
-    fv.push_back(Bool{1});
-  }
-  const auto frontier = Vector<Bool>::build(kRows, fi, fv);
-  for (auto _ : state) {
-    Vector<Bool> w(kCols);
-    grb::vxm(w, grb::lor_land_semiring<Bool>(), frontier, a);
-    benchmark::DoNotOptimize(w);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kNnz / 16));
-}
-BENCHMARK(BM_MxvPush)->Arg(1)->Arg(8);
-
 void BM_Mxm(benchmark::State& state) {
   grb::ThreadGuard guard(static_cast<int>(state.range(0)));
   // Likes' x NewFriends shape: tall-skinny right operand.
@@ -284,35 +262,6 @@ void BM_MxvPullSF(benchmark::State& state) {
 // SF 2048 exercises the Table-II power-law extrapolation beyond the
 // contest's largest dataset (ROADMAP "scaling workload beyond Table II").
 BENCHMARK(BM_MxvPullSF)
-    ->Args({256, 1})
-    ->Args({256, 8})
-    ->Args({512, 1})
-    ->Args({512, 8})
-    ->Args({2048, 1})
-    ->Args({2048, 8});
-
-void BM_MxvPushSF(benchmark::State& state) {
-  // BFS frontier push at paper scale: ~1/16 of the vertices expand through
-  // the SF-sized adjacency via the per-thread scatter accumulators.
-  const auto sf = static_cast<unsigned>(state.range(0));
-  grb::ThreadGuard guard(static_cast<int>(state.range(1)));
-  const auto a = sf_matrix(sf, 26);
-  std::vector<Index> fi;
-  std::vector<Bool> fv;
-  for (Index i = 0; i < a.nrows(); i += 16) {
-    fi.push_back(i);
-    fv.push_back(Bool{1});
-  }
-  const auto frontier = Vector<Bool>::build(a.nrows(), fi, fv);
-  for (auto _ : state) {
-    Vector<Bool> w(a.ncols());
-    grb::vxm(w, grb::lor_land_semiring<Bool>(), frontier, a);
-    benchmark::DoNotOptimize(w);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(a.nvals() / 16));
-}
-BENCHMARK(BM_MxvPushSF)
     ->Args({256, 1})
     ->Args({256, 8})
     ->Args({512, 1})

@@ -15,13 +15,6 @@ namespace grb {
 // Binary operators (GrB_BinaryOp)
 // ---------------------------------------------------------------------------
 
-/// z = x (GrB_FIRST): keeps the left operand. Useful as a "new value wins /
-/// old value wins" duplicate policy in build().
-template <typename T>
-struct First {
-  constexpr T operator()(const T& x, const T&) const noexcept { return x; }
-};
-
 /// z = y (GrB_SECOND): keeps the right operand; the multiplicative op of the
 /// min_second semiring used by FastSV.
 template <typename T>
@@ -49,7 +42,6 @@ struct Minus {
 /// z = x * y (GrB_TIMES).
 template <typename T>
 struct Times {
-  static constexpr T identity() noexcept { return T{1}; }
   constexpr T operator()(const T& x, const T& y) const noexcept {
     return x * y;
   }
@@ -86,55 +78,10 @@ struct LOr {
   }
 };
 
-/// z = x && y (GrB_LAND).
-template <typename T>
-struct LAnd {
-  static constexpr T identity() noexcept { return T{1}; }
-  constexpr T operator()(const T& x, const T& y) const noexcept {
-    return static_cast<T>(static_cast<bool>(x) && static_cast<bool>(y));
-  }
-};
-
-/// z = x XOR y (GrB_LXOR).
-template <typename T>
-struct LXor {
-  static constexpr T identity() noexcept { return T{0}; }
-  constexpr T operator()(const T& x, const T& y) const noexcept {
-    return static_cast<T>(static_cast<bool>(x) != static_cast<bool>(y));
-  }
-};
-
-/// z = 1 regardless of operands (GxB_PAIR / GrB_ONEB): the multiplicative op
-/// of the plus_pair semiring, which counts structural matches.
-template <typename T>
-struct Pair {
-  constexpr T operator()(const T&, const T&) const noexcept { return T{1}; }
-};
-
-/// z = (x == y) (GrB_EQ), result in {0, 1}.
-template <typename T>
-struct Eq {
-  constexpr T operator()(const T& x, const T& y) const noexcept {
-    return static_cast<T>(x == y);
-  }
-};
-
 // ---------------------------------------------------------------------------
 // Unary operators (GrB_UnaryOp), including scalar-bound binary ops, which is
 // how the paper's Alg. 1 line 7 ("apply mul-by-10 op") is expressed.
 // ---------------------------------------------------------------------------
-
-/// z = x (GrB_IDENTITY).
-template <typename T>
-struct Identity {
-  constexpr T operator()(const T& x) const noexcept { return x; }
-};
-
-/// z = -x (GrB_AINV).
-template <typename T>
-struct AInv {
-  constexpr T operator()(const T& x) const noexcept { return static_cast<T>(-x); }
-};
 
 /// z = 1 for any present entry (GxB_ONE): pattern-to-ones conversion.
 template <typename T>
@@ -149,13 +96,6 @@ struct TimesScalar {
   constexpr T operator()(const T& x) const noexcept { return scalar * x; }
 };
 
-/// z = s + x.
-template <typename T>
-struct PlusScalar {
-  T scalar;
-  constexpr T operator()(const T& x) const noexcept { return scalar + x; }
-};
-
 // ---------------------------------------------------------------------------
 // Select operators (GxB_SelectOp): predicates over (i, j, value). The Q2
 // incremental algorithm's Step 2 keeps cells whose value equals 2.
@@ -167,66 +107,6 @@ struct ValueEq {
   T threshold;
   constexpr bool operator()(Index, Index, const T& v) const noexcept {
     return v == threshold;
-  }
-};
-
-/// Keep entries whose value differs from the threshold.
-template <typename T>
-struct ValueNe {
-  T threshold;
-  constexpr bool operator()(Index, Index, const T& v) const noexcept {
-    return v != threshold;
-  }
-};
-
-/// Keep entries with value > threshold (GxB_GT_THUNK).
-template <typename T>
-struct ValueGt {
-  T threshold;
-  constexpr bool operator()(Index, Index, const T& v) const noexcept {
-    return v > threshold;
-  }
-};
-
-/// Keep entries with value >= threshold (GxB_GE_THUNK).
-template <typename T>
-struct ValueGe {
-  T threshold;
-  constexpr bool operator()(Index, Index, const T& v) const noexcept {
-    return v >= threshold;
-  }
-};
-
-/// Keep truthy entries (GxB_NONZERO).
-template <typename T>
-struct NonZero {
-  constexpr bool operator()(Index, Index, const T& v) const noexcept {
-    return static_cast<bool>(v);
-  }
-};
-
-/// Keep strictly-lower-triangular entries (GxB_TRIL with k = -1): used to
-/// canonicalise symmetric friendship matrices into one edge per pair.
-template <typename T>
-struct StrictLower {
-  constexpr bool operator()(Index i, Index j, const T&) const noexcept {
-    return j < i;
-  }
-};
-
-/// Keep strictly-upper-triangular entries (GxB_TRIU with k = +1).
-template <typename T>
-struct StrictUpper {
-  constexpr bool operator()(Index i, Index j, const T&) const noexcept {
-    return j > i;
-  }
-};
-
-/// Keep off-diagonal entries (GxB_OFFDIAG).
-template <typename T>
-struct OffDiag {
-  constexpr bool operator()(Index i, Index j, const T&) const noexcept {
-    return i != j;
   }
 };
 

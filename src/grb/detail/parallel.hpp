@@ -160,9 +160,9 @@ void parallel_tasks(Index n, F&& f) {
 }
 
 /// The staged two-pass drivers' serial-vs-parallel gate (build_csr_staged,
-/// build_sparse_staged, scatter_reduce), exposed so callers that share
-/// scratch across rows (mxm's small-work SPA) can key off the exact same
-/// decision instead of duplicating it.
+/// build_sparse_staged), exposed so callers that share scratch across rows
+/// (mxm's small-work SPA) can key off the exact same decision instead of
+/// duplicating it.
 inline bool staged_runs_parallel(Index n, Index work_hint = 0) {
   const Index work = work_hint == 0 ? n : work_hint;
   return effective_threads() > 1 && work >= kParallelThreshold;

@@ -201,8 +201,8 @@ Vector<T> build_sparse_staged(Index size, Index domain, EmitRangeF&& emit_range,
 /// Compacts dense accumulator arrays — `present(i)` truthy where slot i
 /// holds a value, `value(i)` reading it — into a sorted sparse vector via
 /// the two-pass pipeline: the symbolic pass popcounts each chunk, the
-/// numeric pass gathers. This is the output stage of every dense-scratch
-/// kernel (mxv pull, vxm push, reduce_cols).
+/// numeric pass gathers. This is the output stage of the dense-scratch
+/// kernels (mxv pull, the Q2 score gather).
 template <typename T, typename PresentF, typename ValueF>
 Vector<T> compact_dense(Index n, PresentF&& present, ValueF&& value) {
   return build_sparse<T>(
@@ -223,81 +223,6 @@ Vector<T> compact_dense(Index n, PresentF&& present, ValueF&& value) {
         }
       },
       n);
-}
-
-/// Per-thread dense scatter-accumulate → deterministic merge → two-pass
-/// compaction: the push-direction (transposed scatter) engine behind vxm
-/// and reduce_cols. `scatter(k, upd)` is called once per item k in
-/// [0, nitems) and must accumulate via `upd(slot, value)`; collisions
-/// combine under `combine`, which must be commutative and associative
-/// (per-thread partials are merged in thread order, but the item→thread
-/// partition varies with the team size). Small work runs the classic serial
-/// scatter with a single accumulator.
-template <typename T, typename ScatterF, typename CombineF>
-Vector<T> scatter_reduce(Index size, Index nitems, ScatterF&& scatter,
-                         CombineF&& combine, Index work_hint = 0) {
-  const Index work = work_hint == 0 ? nitems : work_hint;
-  if (!staged_runs_parallel(nitems, work)) {
-    std::vector<T> acc(size);
-    std::vector<unsigned char> hit(size, 0);
-    for (Index k = 0; k < nitems; ++k) {
-      scatter(k, [&](Index j, const T& v) {
-        if (hit[j]) {
-          acc[j] = static_cast<T>(combine(acc[j], v));
-        } else {
-          acc[j] = v;
-          hit[j] = 1;
-        }
-      });
-    }
-    return compact_dense<T>(
-        size, [&](Index j) { return hit[j] != 0; },
-        [&](Index j) { return acc[j]; });
-  }
-  const auto nthreads = static_cast<std::size_t>(effective_threads());
-  auto acc = team_buffers<T>(nthreads, size);
-  auto hit = team_buffers<unsigned char>(nthreads, size);
-  int team = 1;
-  parallel_region([&](int tid, int nt) {
-    if (tid == 0) team = nt;
-    auto& a = acc[static_cast<std::size_t>(tid)];
-    auto& h = hit[static_cast<std::size_t>(tid)];
-    a.resize(size);
-    h.assign(size, 0);
-    for (Index k = static_cast<Index>(tid); k < nitems;
-         k += static_cast<Index>(nt)) {
-      scatter(k, [&](Index j, const T& v) {
-        if (h[j]) {
-          a[j] = static_cast<T>(combine(a[j], v));
-        } else {
-          a[j] = v;
-          h[j] = 1;
-        }
-      });
-    }
-  });
-  // Merge the partials into stripe 0 in thread order, slot-parallel.
-  auto& a0 = acc[0];
-  auto& h0 = hit[0];
-  parallel_for(
-      size,
-      [&](Index j) {
-        for (int t = 1; t < team; ++t) {
-          const auto& at = acc[static_cast<std::size_t>(t)];
-          const auto& ht = hit[static_cast<std::size_t>(t)];
-          if (!ht[j]) continue;
-          if (h0[j]) {
-            a0[j] = static_cast<T>(combine(a0[j], at[j]));
-          } else {
-            a0[j] = at[j];
-            h0[j] = 1;
-          }
-        }
-      },
-      size);
-  return compact_dense<T>(
-      size, [&](Index j) { return h0[j] != 0; },
-      [&](Index j) { return a0[j]; });
 }
 
 }  // namespace grb::detail

@@ -5,7 +5,7 @@
 // Quick tour:
 //   grb::Matrix<T>, grb::Vector<T>       — CSR matrix / sorted-coo vector
 //   grb::plus_times_semiring<T>() etc.   — semiring catalogue
-//   grb::mxm / mxv / vxm                 — products over a semiring
+//   grb::mxm / mxv                       — products over a semiring
 //   grb::eWiseAdd / eWiseMult            — union / intersection element-wise
 //   grb::apply / select / reduce_*       — maps, filters, folds
 //   grb::extract / assign / transpose    — structural ops
@@ -19,11 +19,8 @@
 #include "grb/assign.hpp"
 #include "grb/binary_ops.hpp"
 #include "grb/context.hpp"
-#include "grb/diag.hpp"
 #include "grb/ewise.hpp"
 #include "grb/extract.hpp"
-#include "grb/io.hpp"
-#include "grb/kronecker.hpp"
 #include "grb/matrix.hpp"
 #include "grb/mxm.hpp"
 #include "grb/mxv.hpp"

@@ -1,21 +1,13 @@
-// Matrix-vector products over a semiring: GrB_mxv (w = A ⊕.⊗ u) and
-// GrB_vxm (wᵀ = uᵀ ⊕.⊗ A). Alg. 1 line 8 (likesScore = RootPost ⊕.⊗
-// likesCount) is an mxv with the plus_second semiring; FastSV's hooking step
-// is an mxv with min_second; BFS frontier expansion is a vxm.
+// Matrix-vector product over a semiring: GrB_mxv (w = A ⊕.⊗ u). Alg. 1
+// line 8 (likesScore = RootPost ⊕.⊗ likesCount) is an mxv with the
+// plus_second semiring; FastSV's hooking step is an mxv with min_second.
 //
 // mxv is the pull (row-major dot) kernel: rows of A are processed
 // independently in parallel and the result compacts through the two-pass
 // sparse pipeline. The right operand's representation dispatches on its
 // density — a dense-ish u is scattered into O(ncols) dense (value, present)
-// scratch once, while a sparse u (incremental deltas, early BFS frontiers)
-// is probed by binary search per row entry, avoiding the O(ncols)
-// allocation entirely.
-//
-// vxm is the push (transposed scatter) kernel: the rows selected by u's
-// pattern scatter into dense accumulators. Large frontiers stripe across
-// per-thread accumulators that merge under the additive monoid in thread
-// order; small ones run the classic serial scatter (detail::scatter_reduce
-// makes the call).
+// scratch once, while a sparse u (incremental deltas) is probed by binary
+// search per row entry, avoiding the O(ncols) allocation entirely.
 #pragma once
 
 #include <algorithm>
@@ -97,32 +89,6 @@ Vector<W> mxv_compute(const SR& sr, const Matrix<A>& a, const Vector<U>& u) {
       [&](Index i) { return acc[i]; });
 }
 
-template <typename W, typename SR, typename U, typename A>
-Vector<W> vxm_compute(const SR& sr, const Vector<U>& u, const Matrix<A>& a) {
-  if (a.nrows() != u.size()) {
-    throw DimensionMismatch("vxm: u has size " + std::to_string(u.size()) +
-                            ", A is " + std::to_string(a.nrows()) +
-                            "x" + std::to_string(a.ncols()));
-  }
-  const auto ui = u.indices();
-  const auto uv = u.values();
-  // Push work is the frontier's total degree, not the matrix size.
-  Index work = static_cast<Index>(ui.size());
-  for (const Index i : ui) work += a.row_degree(i);
-  return scatter_reduce<W>(
-      a.ncols(), static_cast<Index>(ui.size()),
-      [&](Index k, auto&& upd) {
-        const Index i = ui[k];
-        const auto cols = a.row_cols(i);
-        const auto vals = a.row_vals(i);
-        for (std::size_t t = 0; t < cols.size(); ++t) {
-          upd(cols[t], static_cast<W>(sr.mul(static_cast<W>(uv[k]),
-                                             static_cast<W>(vals[t]))));
-        }
-      },
-      [&](const W& x, const W& y) { return sr.add(x, y); }, work);
-}
-
 }  // namespace detail
 
 /// w = A ⊕.⊗ u.
@@ -139,23 +105,6 @@ template <typename W, typename M, typename Accum, typename SR, typename A,
 void mxv(Vector<W>& w, const Vector<M>* mask, Accum accum, const SR& sr,
          const Matrix<A>& a, const Vector<U>& u, const Descriptor& desc = {}) {
   auto t = detail::mxv_compute<W>(sr, a, u);
-  detail::write_back(w, mask, accum, desc, std::move(t));
-}
-
-/// wᵀ = uᵀ ⊕.⊗ A.
-template <typename W, typename SR, typename U, typename A>
-void vxm(Vector<W>& w, const SR& sr, const Vector<U>& u, const Matrix<A>& a) {
-  auto t = detail::vxm_compute<W>(sr, u, a);
-  detail::write_back(w, static_cast<const Vector<Bool>*>(nullptr), NoAccum{},
-                     Descriptor{}, std::move(t));
-}
-
-/// wᵀ<mᵀ> (+)= uᵀ ⊕.⊗ A.
-template <typename W, typename M, typename Accum, typename SR, typename U,
-          typename A>
-void vxm(Vector<W>& w, const Vector<M>* mask, Accum accum, const SR& sr,
-         const Vector<U>& u, const Matrix<A>& a, const Descriptor& desc = {}) {
-  auto t = detail::vxm_compute<W>(sr, u, a);
   detail::write_back(w, mask, accum, desc, std::move(t));
 }
 

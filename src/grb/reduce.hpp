@@ -6,9 +6,8 @@
 // reduce_rows is a chunk-parallel two-pass kernel: the symbolic pass counts
 // nonempty rows per chunk from the rowptr degrees (O(1) per row), the
 // numeric pass folds each row serially — so per-row fold order, and hence
-// the result, is identical at every thread count. reduce_cols is the
-// push-direction scatter (detail::scatter_reduce, per-thread accumulators).
-// Scalar reductions fold over detail::parallel_fold's fixed chunk grid.
+// the result, is identical at every thread count. Scalar reductions fold
+// over detail::parallel_fold's fixed chunk grid.
 #pragma once
 
 #include <utility>
@@ -70,44 +69,6 @@ void reduce_rows(Vector<W>& w, const Vector<M>* mask, Accum accum,
                  const MonoidT& monoid, const Matrix<U>& a,
                  const Descriptor& desc = {}) {
   auto t = detail::reduce_rows_compute<W>(monoid, a);
-  detail::write_back(w, mask, accum, desc, std::move(t));
-}
-
-namespace detail {
-
-template <typename W, typename MonoidT, typename U>
-Vector<W> reduce_cols_compute(const MonoidT& monoid, const Matrix<U>& a) {
-  // Column-direction scatter: rows stripe across per-thread accumulators
-  // when the work warrants it, exactly the vxm push engine.
-  return scatter_reduce<W>(
-      a.ncols(), a.nrows(),
-      [&](Index i, auto&& upd) {
-        const auto cols = a.row_cols(i);
-        const auto vals = a.row_vals(i);
-        for (std::size_t k = 0; k < cols.size(); ++k) {
-          upd(cols[k], static_cast<W>(vals[k]));
-        }
-      },
-      [&](const W& x, const W& y) { return monoid(x, y); }, a.nvals());
-}
-
-}  // namespace detail
-
-/// w = [⊕_i A(i, :)] — column-wise reduction (GrB_reduce with GrB_TRAN).
-template <typename W, typename MonoidT, typename U>
-void reduce_cols(Vector<W>& w, const MonoidT& monoid, const Matrix<U>& a) {
-  auto t = detail::reduce_cols_compute<W>(monoid, a);
-  detail::write_back(w, static_cast<const Vector<Bool>*>(nullptr), NoAccum{},
-                     Descriptor{}, std::move(t));
-}
-
-/// w<m> (+)= [⊕_i A(i, :)].
-template <typename W, typename M, typename Accum, typename MonoidT,
-          typename U>
-void reduce_cols(Vector<W>& w, const Vector<M>* mask, Accum accum,
-                 const MonoidT& monoid, const Matrix<U>& a,
-                 const Descriptor& desc = {}) {
-  auto t = detail::reduce_cols_compute<W>(monoid, a);
   detail::write_back(w, mask, accum, desc, std::move(t));
 }
 

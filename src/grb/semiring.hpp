@@ -36,11 +36,6 @@ constexpr auto plus_monoid() {
 }
 
 template <typename T>
-constexpr auto times_monoid() {
-  return Monoid<T, Times<T>>{Times<T>{}, Times<T>::identity()};
-}
-
-template <typename T>
 constexpr auto min_monoid() {
   return Monoid<T, Min<T>>{Min<T>{}, Min<T>::identity()};
 }
@@ -53,11 +48,6 @@ constexpr auto max_monoid() {
 template <typename T>
 constexpr auto lor_monoid() {
   return Monoid<T, LOr<T>>{LOr<T>{}, LOr<T>::identity()};
-}
-
-template <typename T>
-constexpr auto land_monoid() {
-  return Monoid<T, LAnd<T>>{LAnd<T>{}, LAnd<T>::identity()};
 }
 
 // --- Semiring factories (the catalogue the solution uses) -------------------
@@ -79,41 +69,11 @@ constexpr auto plus_second_semiring() {
                                                  Second<T>{}};
 }
 
-/// plus_first: mirror image of plus_second.
-template <typename T>
-constexpr auto plus_first_semiring() {
-  return Semiring<Monoid<T, Plus<T>>, First<T>>{plus_monoid<T>(), First<T>{}};
-}
-
-/// plus_pair: counts structural matches (ignores both values).
-template <typename T>
-constexpr auto plus_pair_semiring() {
-  return Semiring<Monoid<T, Plus<T>>, Pair<T>>{plus_monoid<T>(), Pair<T>{}};
-}
-
 /// min_second: propagates the minimum of the right operand — the semiring of
 /// FastSV's hooking step (f = min(f, A ⊗ gf)).
 template <typename T>
 constexpr auto min_second_semiring() {
   return Semiring<Monoid<T, Min<T>>, Second<T>>{min_monoid<T>(), Second<T>{}};
-}
-
-/// min_first.
-template <typename T>
-constexpr auto min_first_semiring() {
-  return Semiring<Monoid<T, Min<T>>, First<T>>{min_monoid<T>(), First<T>{}};
-}
-
-/// lor_land: boolean reachability semiring (BFS frontier expansion).
-template <typename T>
-constexpr auto lor_land_semiring() {
-  return Semiring<Monoid<T, LOr<T>>, LAnd<T>>{lor_monoid<T>(), LAnd<T>{}};
-}
-
-/// max_second.
-template <typename T>
-constexpr auto max_second_semiring() {
-  return Semiring<Monoid<T, Max<T>>, Second<T>>{max_monoid<T>(), Second<T>{}};
 }
 
 }  // namespace grb

@@ -1,7 +1,8 @@
 // Core types for the grb library — a from-scratch, GraphBLAS-compatible
-// sparse linear algebra engine covering the operation subset used by the
-// paper (Table I): mxm, vxm, mxv, eWiseAdd, eWiseMult, extract, apply,
-// select, reduce, transpose, build, extractTuples, plus assign.
+// sparse linear algebra engine covering the operation subset the paper's
+// Q1/Q2 solution uses (mxm, mxv, eWiseAdd, extract, apply, select, row-wise
+// reduce, transpose, build, extractTuples, plus assign), with eWiseMult and
+// scalar reduce besides.
 //
 // Semantics follow the GraphBLAS C API specification: operations compute an
 // intermediate result T, which is merged into the output C under an optional

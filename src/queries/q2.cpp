@@ -75,36 +75,6 @@ std::vector<Index> q2_affected_comments(const GrbState& state,
   return affected;
 }
 
-std::vector<Index> q2_affected_comments_coarse(const GrbState& state,
-                                               const GrbDelta& delta) {
-  std::vector<Index> affected = delta.new_comments;
-  const auto liked = delta.likes_count_plus.indices();
-  affected.insert(affected.end(), liked.begin(), liked.end());
-  const auto unliked = delta.likes_count_minus.indices();
-  affected.insert(affected.end(), unliked.begin(), unliked.end());
-
-  // Coarse rule: any comment liked by *either* endpoint — a vxm of the
-  // endpoint indicator against Likes′ᵀ; expressed here as a column gather
-  // over the transposed Likes matrix once per change set.
-  auto likes_t = grb::transposed(state.likes());
-  const auto mark_user = [&](Index u) {
-    const auto cols = likes_t.row_cols(u);
-    affected.insert(affected.end(), cols.begin(), cols.end());
-  };
-  for (const auto& [a, b] : delta.new_friendships) {
-    mark_user(a);
-    mark_user(b);
-  }
-  for (const auto& [a, b] : delta.removed_friendships) {
-    mark_user(a);
-    mark_user(b);
-  }
-  std::sort(affected.begin(), affected.end());
-  affected.erase(std::unique(affected.begin(), affected.end()),
-                 affected.end());
-  return affected;
-}
-
 grb::Vector<U64> q2_incremental_update(const GrbState& state,
                                        const GrbDelta& delta,
                                        grb::Vector<U64>& scores) {

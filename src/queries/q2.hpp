@@ -29,14 +29,6 @@ grb::Vector<std::uint64_t> q2_batch_scores(const GrbState& state);
 std::vector<Index> q2_affected_comments(const GrbState& state,
                                         const GrbDelta& delta);
 
-/// Ablation variant: the *coarse* affected-set rule that skips the
-/// NewFriends incidence trick (Steps 1-4) and instead marks every comment
-/// liked by either endpoint of a changed friendship. Strictly a superset of
-/// q2_affected_comments; bench/ablation_affected quantifies how much
-/// reevaluation work the paper's AC = 2 selection saves over this.
-std::vector<Index> q2_affected_comments_coarse(const GrbState& state,
-                                               const GrbDelta& delta);
-
 /// Incremental maintenance: rescoers only the affected comments, updates
 /// `scores` in place (resizing to the new comment count) and returns
 /// Δscores — the affected entries whose value actually changed.

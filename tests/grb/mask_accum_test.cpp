@@ -139,6 +139,18 @@ TEST(MatrixMask, MaskedMxmRestrictsPattern) {
   grb::mxm(c, &mask, NoAccum{}, grb::plus_times_semiring<U64>(), a, a);
   EXPECT_EQ(c.nvals(), 1u);
   EXPECT_EQ(c.at(0, 0).value(), 2u);
+
+  // Structural mask over a transposed operand: the stored-but-falsy (0,0)
+  // entry still admits its product.
+  const auto falsy = Matrix<U64>::build(2, 2, {{0, 0, 0}, {1, 1, 1}});
+  Descriptor d;
+  d.structural_mask = true;
+  Matrix<U64> s(2, 2);
+  grb::mxm(s, &falsy, NoAccum{}, grb::plus_times_semiring<U64>(), a,
+           grb::transposed(a), d);
+  EXPECT_EQ(s.nvals(), 2u);
+  EXPECT_EQ(s.at(0, 0).value(), 2u);
+  EXPECT_EQ(s.at(1, 1).value(), 2u);
 }
 
 TEST(MatrixMask, ReplaceAndAccumOnMatrices) {

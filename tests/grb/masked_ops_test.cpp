@@ -44,22 +44,6 @@ TEST(MaskedMxv, AccumulatesIntoExisting) {
   EXPECT_EQ(w.at_or(2, 0), 11u);
 }
 
-TEST(MaskedVxm, ComplementReplaceFrontierPattern) {
-  // The BFS idiom: next<!visited, replace> = frontier ⊕.⊗ A.
-  const auto a = example();
-  const auto frontier = Vector<U64>::build(3, {0}, {1});
-  const auto visited = Vector<U64>::build(3, {0}, {1});
-  Vector<U64> next(3);
-  Descriptor d;
-  d.complement_mask = true;
-  d.replace = true;
-  grb::vxm(next, &visited, NoAccum{}, grb::plus_times_semiring<U64>(),
-           frontier, a, d);
-  // Row 0 of A reaches columns 0 and 1; column 0 is masked out.
-  EXPECT_EQ(next.nvals(), 1u);
-  EXPECT_EQ(next.at_or(1, 0), 2u);
-}
-
 TEST(MaskedReduceRows, MaskSelectsRows) {
   const auto mask = Vector<U64>::build(3, {0, 2}, {1, 1});
   Vector<U64> w(3);
@@ -80,7 +64,8 @@ TEST(MaskedSelect, VectorMaskAndPredCompose) {
   const auto v = Vector<U64>::build(4, {0, 1, 2, 3}, {5, 10, 15, 20});
   const auto mask = Vector<U64>::build(4, {1, 2}, {1, 1});
   Vector<U64> w(4);
-  grb::select(w, &mask, NoAccum{}, grb::ValueGt<U64>{12}, v);
+  const auto above_12 = [](Index, Index, const U64& x) { return x > 12; };
+  grb::select(w, &mask, NoAccum{}, above_12, v);
   // Pred keeps {15, 20}; mask keeps positions {1, 2}: intersection = {2}.
   EXPECT_EQ(w.nvals(), 1u);
   EXPECT_EQ(w.at_or(2, 0), 15u);
@@ -89,7 +74,8 @@ TEST(MaskedSelect, VectorMaskAndPredCompose) {
 TEST(MaskedSelect, MatrixMaskApplies) {
   const auto mask = Matrix<U64>::build(3, 3, {{1, 1, 1}, {2, 0, 1}});
   Matrix<U64> c(3, 3);
-  grb::select(c, &mask, NoAccum{}, grb::NonZero<U64>{}, example());
+  const auto nonzero = [](Index, Index, const U64& x) { return x != 0; };
+  grb::select(c, &mask, NoAccum{}, nonzero, example());
   EXPECT_EQ(c.nvals(), 2u);
   EXPECT_TRUE(c.has(1, 1));
   EXPECT_TRUE(c.has(2, 0));
@@ -113,17 +99,6 @@ TEST(MaskedApply, MatrixAccum) {
   EXPECT_EQ(c.at(0, 0).value(), 101u);  // 100 + 1
   EXPECT_EQ(c.at(2, 2).value(), 1u);
   EXPECT_EQ(c.nvals(), example().nvals());
-}
-
-TEST(MaskedKronecker, MaskFiltersBlocks) {
-  const auto a = Matrix<U64>::build(2, 2, {{0, 0, 1}, {1, 1, 1}});
-  const auto b = Matrix<U64>::build(2, 2, {{0, 0, 2}, {1, 1, 3}});
-  const auto mask = Matrix<U64>::build(4, 4, {{0, 0, 1}, {3, 3, 1}});
-  Matrix<U64> c(4, 4);
-  grb::kronecker(c, &mask, NoAccum{}, grb::Times<U64>{}, a, b);
-  EXPECT_EQ(c.nvals(), 2u);
-  EXPECT_EQ(c.at(0, 0).value(), 2u);
-  EXPECT_EQ(c.at(3, 3).value(), 3u);
 }
 
 TEST(MaskedEwiseMult, MatrixMaskAndAccum) {

@@ -87,11 +87,14 @@ TEST(Mxm, EmptyOperandYieldsEmpty) {
 
 TEST(Mxm, PlusPairCountsStructuralMatches) {
   // C(i,j) = |{k : A(i,k) ∧ B(k,j)}| regardless of values.
+  const auto pair = [](const U64&, const U64&) { return U64{1}; };
+  const grb::Semiring<grb::Monoid<U64, grb::Plus<U64>>, decltype(pair)>
+      plus_pair{grb::plus_monoid<U64>(), pair};
   const auto a = Matrix<U64>::build(1, 3, {{0, 0, 42}, {0, 1, 7}, {0, 2, 9}});
   const auto b =
       Matrix<U64>::build(3, 1, {{0, 0, 11}, {1, 0, 13}, {2, 0, 17}});
   Matrix<U64> c(1, 1);
-  grb::mxm(c, grb::plus_pair_semiring<U64>(), a, b);
+  grb::mxm(c, plus_pair, a, b);
   EXPECT_EQ(c.at(0, 0).value(), 3u);
 }
 

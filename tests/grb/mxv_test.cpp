@@ -79,34 +79,6 @@ TEST(Mxv, DimensionMismatchThrows) {
                grb::DimensionMismatch);
 }
 
-TEST(Vxm, MatchesMxvOnTranspose) {
-  const auto a = example_matrix();
-  const auto at = grb::transposed(a);
-  const auto u = Vector<U64>::build(3, {0, 2}, {1, 2});
-  Vector<U64> via_vxm(3), via_mxv(3);
-  grb::vxm(via_vxm, grb::plus_times_semiring<U64>(), u, a);
-  grb::mxv(via_mxv, grb::plus_times_semiring<U64>(), at, u);
-  EXPECT_EQ(via_vxm, via_mxv);
-}
-
-TEST(Vxm, FrontierExpansion) {
-  // BFS-style: frontier {0} over lor_land reaches columns of row 0.
-  const auto a = Matrix<Bool>::build(3, 3, {{0, 1, 1}, {1, 2, 1}});
-  const auto frontier = Vector<Bool>::build(3, {0}, {1});
-  Vector<Bool> next(3);
-  grb::vxm(next, grb::lor_land_semiring<Bool>(), frontier, a);
-  EXPECT_EQ(next.nvals(), 1u);
-  EXPECT_TRUE(next.at(1).has_value());
-}
-
-TEST(Vxm, DimensionMismatchThrows) {
-  const auto a = example_matrix();
-  const Vector<U64> u(2);
-  Vector<U64> w(3);
-  EXPECT_THROW(grb::vxm(w, grb::plus_times_semiring<U64>(), u, a),
-               grb::DimensionMismatch);
-}
-
 TEST(Mxv, ThreadCountDoesNotChangeResult) {
   // Build a larger random-ish band matrix and compare 1 vs 8 threads.
   std::vector<grb::Tuple<U64>> tuples;

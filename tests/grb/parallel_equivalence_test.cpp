@@ -5,17 +5,16 @@
 //
 // This is the contract the two-pass sparse pipeline makes: the chunk grid
 // and per-chunk work order depend only on operand shapes, never the
-// delivered team, and everything non-chunked (the push scatter's per-thread
-// accumulators) combines under exact commutative monoids. Explicitly pinned
-// thread counts are honoured above the visible processor count
-// (grb::threads_pinned), so this suite drives real multi-thread teams even
-// on single-core CI runners; with OpenMP off every count degrades to the
-// same serial path and the assertions hold trivially.
+// delivered team. Explicitly pinned thread counts are honoured above the
+// visible processor count (grb::threads_pinned), so this suite drives real
+// multi-thread teams even on single-core CI runners; with OpenMP off every
+// count degrades to the same serial path and the assertions hold trivially.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <vector>
 
+#include "grb/detail/parallel.hpp"
 #include "grb/grb.hpp"
 #include "support/rng.hpp"
 
@@ -149,43 +148,6 @@ TEST(ParallelEquivalence, MxvMasked) {
   }
 }
 
-TEST(ParallelEquivalence, VxmPush) {
-  for (int seed = 0; seed < kSeeds; ++seed) {
-    Xoshiro256 rng(4000 + seed);
-    const auto a = random_matrix(rng, kN, kN, 5 * kN);
-    const auto u = random_vector(rng, kN, 0.2);  // frontier-sized
-    expect_thread_invariant(
-        [&] {
-          Vector<U64> w(kN);
-          grb::vxm(w, grb::plus_times_semiring<U64>(), u, a);
-          return w;
-        },
-        "vxm push", seed);
-  }
-}
-
-TEST(ParallelEquivalence, VxmMaskedBfsShape) {
-  // The BFS descriptor combination: complemented structural mask + replace.
-  for (int seed = 0; seed < kSeeds; ++seed) {
-    Xoshiro256 rng(5000 + seed);
-    const auto a = random_matrix(rng, kN, kN, 5 * kN);
-    const auto u = random_vector(rng, kN, 0.1);
-    const auto visited = random_mask(rng, kN, 0.3);
-    grb::Descriptor not_visited;
-    not_visited.complement_mask = true;
-    not_visited.replace = true;
-    not_visited.structural_mask = true;
-    expect_thread_invariant(
-        [&] {
-          Vector<U64> w(kN);
-          grb::vxm(w, &visited, grb::NoAccum{}, grb::lor_land_semiring<U64>(),
-                   u, a, not_visited);
-          return w;
-        },
-        "vxm masked (BFS shape)", seed);
-  }
-}
-
 TEST(ParallelEquivalence, ReduceRows) {
   for (int seed = 0; seed < kSeeds; ++seed) {
     Xoshiro256 rng(6000 + seed);
@@ -197,20 +159,6 @@ TEST(ParallelEquivalence, ReduceRows) {
           return w;
         },
         "reduce_rows", seed);
-  }
-}
-
-TEST(ParallelEquivalence, ReduceCols) {
-  for (int seed = 0; seed < kSeeds; ++seed) {
-    Xoshiro256 rng(7000 + seed);
-    const auto a = random_matrix(rng, kN, kN, 5 * kN);
-    expect_thread_invariant(
-        [&] {
-          Vector<U64> w(kN);
-          grb::reduce_cols(w, grb::plus_monoid<U64>(), a);
-          return w;
-        },
-        "reduce_cols", seed);
   }
 }
 
@@ -226,6 +174,30 @@ TEST(ParallelEquivalence, ReduceScalar) {
               grb::reduce_scalar<U64>(grb::max_monoid<U64>(), u)};
         },
         "reduce_scalar", seed);
+  }
+}
+
+TEST(ParallelEquivalence, ParallelFold) {
+  // The fixed-grid fold FastSV's shortcut sweeps use, over several chunks:
+  // it equals a serial sum at every thread count.
+  for (int seed = 0; seed < kSeeds; ++seed) {
+    Xoshiro256 rng(8000 + seed);
+    std::vector<U64> vals(kN);
+    for (auto& v : vals) v = rng.range(0, 1000);
+    U64 serial = 0;
+    for (const U64 v : vals) serial += v;
+    const auto fold = [&] {
+      return grb::detail::parallel_fold<U64>(
+          kN, U64{0},
+          [&](Index lo, Index hi) {
+            U64 s = 0;
+            for (Index k = lo; k < hi; ++k) s += vals[k];
+            return s;
+          },
+          [](U64 x, U64 y) { return x + y; });
+    };
+    EXPECT_EQ(fold(), serial) << "seed " << seed;
+    expect_thread_invariant(fold, "parallel_fold", seed);
   }
 }
 

@@ -111,10 +111,10 @@ TEST_P(AlgebraSweep, SelectPartitionsPattern) {
   const auto s = GetParam();
   const auto a = random_square(s);
   Matrix<U64> yes(s.n, s.n), no(s.n, s.n);
-  grb::select(yes, grb::ValueGe<U64>{10}, a);
-  grb::select(
-      no,
-      [](Index, Index, const U64& v) { return v < 10; }, a);
+  const auto big = [](Index, Index, const U64& v) { return v >= 10; };
+  const auto small = [](Index, Index, const U64& v) { return v < 10; };
+  grb::select(yes, big, a);
+  grb::select(no, small, a);
   EXPECT_EQ(yes.nvals() + no.nvals(), a.nvals());
   Matrix<U64> merged(s.n, s.n);
   grb::eWiseAdd(merged, grb::Plus<U64>{}, yes, no);
@@ -133,7 +133,7 @@ TEST_P(AlgebraSweep, ApplyIdentityIsNoop) {
   const auto s = GetParam();
   const auto a = random_square(s);
   Matrix<U64> out(s.n, s.n);
-  grb::apply(out, grb::Identity<U64>{}, a);
+  grb::apply(out, grb::TimesScalar<U64>{1}, a);
   EXPECT_EQ(out, a);
 }
 

@@ -2,8 +2,6 @@
 // Fig. 4b steps 1-5, and incremental-vs-batch equivalence on change streams.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "datagen/generator.hpp"
 #include "nmf/nmf_batch.hpp"
 #include "queries/grb_state.hpp"
@@ -126,32 +124,6 @@ TEST(Q2Incremental, DeltaOnlyReportsActualChanges) {
   const auto changed = queries::q2_incremental_update(state, delta, scores);
   EXPECT_EQ(changed.nvals(), 1u);
   EXPECT_EQ(changed.at_or(1, 0), 1u);
-}
-
-TEST(Q2AffectedCoarse, IsSupersetOfExactRule) {
-  const auto ds = datagen::generate(datagen::params_for_scale(2, 5));
-  auto state = GrbState::from_graph(ds.initial);
-  for (const auto& cs : ds.changes) {
-    const auto delta = state.apply_change_set(cs);
-    const auto exact = queries::q2_affected_comments(state, delta);
-    const auto coarse = queries::q2_affected_comments_coarse(state, delta);
-    ASSERT_TRUE(std::includes(coarse.begin(), coarse.end(), exact.begin(),
-                              exact.end()));
-  }
-}
-
-TEST(Q2AffectedCoarse, EndpointRuleMarksOneSidedLikes) {
-  auto g = base_graph();
-  g.add_likes(100, 10);  // u100 likes c10 only
-  auto state = GrbState::from_graph(g);
-  sm::ChangeSet cs;
-  cs.ops.push_back(sm::AddFriendship{100, 101});  // 101 likes nothing
-  const auto delta = state.apply_change_set(cs);
-  // Exact rule: no comment has both endpoints in its fan set.
-  EXPECT_TRUE(queries::q2_affected_comments(state, delta).empty());
-  // Coarse rule: everything u100 likes is dragged in.
-  EXPECT_EQ(queries::q2_affected_comments_coarse(state, delta),
-            (std::vector<Index>{0}));
 }
 
 class Q2StreamSweep : public ::testing::TestWithParam<unsigned> {};
